@@ -29,15 +29,7 @@ from .model import (
     load_solution,
 )
 from .scenario import extract_instance, load_scenario, synthesize_scenario
-from .solvers import (
-    GMT,
-    PlsParams,
-    Problem,
-    SolveRequest,
-    Status,
-    krmt,
-    solve,
-)
+from .solvers import GMT, Problem, SolveRequest, Status, krmt, solve
 from .validation import AmMode, check_model
 
 EXIT_OK = 0
@@ -120,10 +112,6 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--time-limit", type=float, default=600.0, metavar="S")
-    sub.add_argument("--intgraph-relaxed", action="store_true")
-    sub.add_argument(
-        "--pls-phase-schedule", choices=("paper", "pullan"), default="paper"
-    )
 
 
 def _request(args: argparse.Namespace, problem: Problem, seed: int) -> SolveRequest:
@@ -133,8 +121,6 @@ def _request(args: argparse.Namespace, problem: Problem, seed: int) -> SolveRequ
         algorithm=args.algo.upper(),
         time_limit=args.time_limit,
         seed=seed,
-        pls_params=PlsParams(schedule=args.pls_phase_schedule),
-        intgraph_relaxed=args.intgraph_relaxed,
     )
 
 
@@ -264,7 +250,7 @@ def cmd_graph_dump(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def _bench_run(task: tuple) -> dict:
     """One benchmark run; top-level so worker processes can import it."""
-    (path, kind, k, mode_value, algo, seed, time_limit, schedule, relaxed) = task
+    path, kind, k, mode_value, algo, seed, time_limit = task
     instance = load_instance(Path(path).read_text("utf-8"))
     problem = krmt(k) if kind == "KRMT" else GMT
     mode = AmMode(mode_value)
@@ -274,8 +260,6 @@ def _bench_run(task: tuple) -> dict:
         algorithm=algo.upper(),
         time_limit=time_limit,
         seed=seed,
-        pls_params=PlsParams(schedule=schedule),
-        intgraph_relaxed=relaxed,
     )
     result = solve(instance, request)
     status = result.status.value
@@ -309,8 +293,6 @@ def bench_rows(
     seed: int = 0,
     time_limit: float = 600.0,
     jobs: int = 1,
-    schedule: str = "paper",
-    intgraph_relaxed: bool = False,
 ) -> List[dict]:
     """Run the benchmark matrix and attach exact references and quality ratios."""
     tasks = []
@@ -326,8 +308,6 @@ def bench_rows(
                         algo,
                         seed + len(tasks),  # per-run seed, stable task order
                         time_limit,
-                        schedule,
-                        intgraph_relaxed,
                     )
                 )
     if jobs > 1:
@@ -556,8 +536,6 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         seed=args.seed,
         time_limit=args.time_limit,
         jobs=args.jobs,
-        schedule=args.pls_phase_schedule,
-        intgraph_relaxed=args.intgraph_relaxed,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,8 @@ is dealt with upstream in :mod:`chronolabel.scenario`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 
@@ -221,7 +222,13 @@ def _num(obj: dict, key: str, where: str) -> float:
         raise ParseError(f"{where}: missing field {key!r}")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where}: field {key!r} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: field {key!r} must be a finite number")
+    return number
 
 
 def _text(obj: dict, key: str, where: str) -> str:
@@ -234,6 +241,14 @@ def _text(obj: dict, key: str, where: str) -> str:
     return value
 
 
+def _objects(doc: dict, key: str) -> list:
+    """The list of objects under ``key`` (absent means empty)."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise ParseError(f"field {key!r} must be a list of objects")
+    return value
+
+
 def load_instance(source: Source) -> Instance:
     """Parse an instance file. Raises ParseError / IntegrityError."""
     doc = _load_json(source)
@@ -241,7 +256,7 @@ def load_instance(source: Source) -> Instance:
         raise ParseError("instance document must be a JSON object")
     horizon = _num(doc, "horizon", "instance")
     labels = {}
-    for i, raw in enumerate(doc.get("labels", [])):
+    for i, raw in enumerate(_objects(doc, "labels")):
         lid = _text(raw, "id", f"labels[{i}]")
         if lid in labels:
             raise IntegrityError(f"duplicate label id {lid!r}")
@@ -251,14 +266,14 @@ def load_instance(source: Source) -> Instance:
             display_name=raw.get("name", ""),
         )
     presences: dict = {}
-    for i, raw in enumerate(doc.get("presences", [])):
+    for i, raw in enumerate(_objects(doc, "presences")):
         lid = _text(raw, "label", f"presences[{i}]")
         if lid not in labels:
             raise IntegrityError(f"presence references unknown label {lid!r}")
         iv = TimeInterval(_num(raw, "start", f"presences[{i}]"), _num(raw, "end", f"presences[{i}]"))
         presences.setdefault(lid, []).append(iv)
     conflicts = []
-    for i, raw in enumerate(doc.get("conflicts", [])):
+    for i, raw in enumerate(_objects(doc, "conflicts")):
         conflicts.append(
             ConflictEntry(
                 a=_text(raw, "a", f"conflicts[{i}]"),
@@ -301,7 +316,7 @@ def load_solution(source: Source) -> ActivitySet:
     if not isinstance(doc, dict):
         raise ParseError("solution document must be a JSON object")
     raw_by_label: dict = {}
-    for i, raw in enumerate(doc.get("activities", [])):
+    for i, raw in enumerate(_objects(doc, "activities")):
         lid = _text(raw, "label", f"activities[{i}]")
         iv = TimeInterval(_num(raw, "start", f"activities[{i}]"), _num(raw, "end", f"activities[{i}]"))
         raw_by_label.setdefault(lid, []).append(iv)

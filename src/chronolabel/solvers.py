@@ -22,13 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .conflict_graph import (
-    Candidate,
-    ConflictGraph,
-    SizeLimitExceeded,
-    build_graph,
-    DEFAULT_SIZE_LIMIT,
-)
+from .conflict_graph import Candidate, ConflictGraph, SizeLimitExceeded, build_graph
 from .model import ActivitySet, Instance, TimeInterval, make_activity_set, objective
 from .validation import AmMode, is_justified, saturate, saturate_excluding
 
@@ -36,7 +30,6 @@ from .validation import AmMode, is_justified, saturate, saturate_excluding
 class Status(enum.Enum):
     OPTIMAL = "OPTIMAL"
     FEASIBLE = "FEASIBLE"
-    TIMEOUT = "TIMEOUT"
     UNSUPPORTED = "UNSUPPORTED"
     SIZE_ABORT = "SIZE_ABORT"
 
@@ -66,12 +59,7 @@ def krmt(k: int) -> Problem:
 
 @dataclass(frozen=True)
 class PlsParams:
-    iterations_random: int = 50
-    iterations_penalty: int = 100
-    iterations_greedy: int = 50
-    penalty_delay: int = 2
     wall_clock_budget: float = 0.1
-    schedule: str = "paper"  # "paper" (greedy/penalty/greedy) or "pullan" (random/penalty/greedy)
 
 
 @dataclass(frozen=True)
@@ -82,7 +70,6 @@ class SolveRequest:
     time_limit: float = 600.0
     seed: int = 0
     pls_params: PlsParams = field(default_factory=PlsParams)
-    intgraph_relaxed: bool = False
 
 
 @dataclass(frozen=True)
@@ -121,9 +108,7 @@ def solve(instance: Instance, request: SolveRequest) -> SolveResult:
             instance, request.problem, request.mode, seed=request.seed, params=request.pls_params
         )
     if algo == "INTGRAPH":
-        return solve_intgraph(
-            instance, request.problem, request.mode, relaxed=request.intgraph_relaxed
-        )
+        return solve_intgraph(instance, request.problem, request.mode)
     raise ValueError(f"unknown algorithm {request.algorithm!r}")
 
 
@@ -365,7 +350,6 @@ class _ClusterBnB:
         # pending witness requirements: [witness set, last chance, hits]
         self.pending: List[list] = []
         self.selected: List[int] = []
-        self.selected_set: set = set()
         self._undo: List[tuple] = []
 
     @property
@@ -408,7 +392,7 @@ class _ClusterBnB:
             self._dfs(i + 1, weight + w)
             if self.coverage is not None:
                 self.coverage.remove(v)
-            self._pop(v)
+            self._pop()
             if self.deadline.hit:
                 return
         self._dfs(i + 1, weight)  # skip this cluster
@@ -429,17 +413,15 @@ class _ClusterBnB:
         self._undo.append((len(new_entries), bumped))
         self.pending.extend(new_entries)
         self.selected.append(v)
-        self.selected_set.add(v)
         return True
 
-    def _pop(self, v: int) -> None:
+    def _pop(self) -> None:
         added, bumped = self._undo.pop()
         if added:
             del self.pending[-added:]
         for p in bumped:
             p[2] -= 1
         self.selected.pop()
-        self.selected_set.discard(v)
 
 
 def _label_groups(instance: Instance, graph: ConflictGraph) -> List[List[List[int]]]:
@@ -473,9 +455,6 @@ def _label_groups(instance: Instance, graph: ConflictGraph) -> List[List[List[in
 
 class _GroupTimeout(Exception):
     pass
-
-
-_MISS = object()
 
 
 def _slice_cliques(instance: Instance, graph: ConflictGraph, clusters: List[List[int]]) -> List[tuple]:
@@ -609,8 +588,6 @@ class _GroupSolver:
                 self.witness_clusters[v] = {
                     self.cluster_of[u] for wit in reqs for u in wit if u in self.cluster_of
                 }
-        # everything that can serve as a witness; only this part of the chosen
-        # set can influence a subproblem, so memo keys are restricted to it
         # who can witness whom: used to trim memo keys to the part of the
         # chosen set that can still influence a subproblem
         self.witnessed_by: Dict[int, set] = {}
@@ -925,12 +902,11 @@ def solve_exact(
     problem: Problem,
     mode: AmMode,
     time_limit: float = 600.0,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> SolveResult:
     """Optimal activity set via branch-and-bound on the candidate graph."""
     started = time.perf_counter()
     try:
-        graph = build_graph(instance, mode, size_limit=size_limit)
+        graph = build_graph(instance, mode)
     except SizeLimitExceeded:
         return _result(instance, _empty_phi(), Status.SIZE_ABORT, started)
     deadline = _Deadline(time_limit)
@@ -1003,7 +979,6 @@ def solve_greedy(
     instance: Instance,
     problem: Problem,
     mode: AmMode,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> SolveResult:
     """Repeatedly take the heaviest remaining candidate.
 
@@ -1017,7 +992,7 @@ def solve_greedy(
     started = time.perf_counter()
     build_mode = AmMode.AM1 if problem.kind == "KRMT" else mode
     try:
-        graph = build_graph(instance, build_mode, size_limit=size_limit)
+        graph = build_graph(instance, build_mode)
     except SizeLimitExceeded:
         return _result(instance, _empty_phi(), Status.SIZE_ABORT, started)
     selected = _greedy_selection(instance, graph, problem.k)
@@ -1076,9 +1051,13 @@ class _PlsState:
         raise AssertionError("vertex has no selected neighbor")
 
 
+# One PLS cycle, repeated until the budget runs out: (phase, iterations).
+PLS_SCHEDULE = (("greedy", 50), ("penalty", 100), ("greedy", 50))
+# Initial iteration count between penalty decrements; adapted during search.
+PLS_PENALTY_DELAY = 2
+
+
 def _pls_select(pool: List[int], phase: str, penalties: List[int], graph, rng) -> int:
-    if phase == "random":
-        return pool[rng.randrange(len(pool))]
     if phase == "penalty":
         best = min(penalties[v] for v in pool)
         pool = [v for v in pool if penalties[v] == best]
@@ -1095,14 +1074,13 @@ def solve_pls(
     mode: AmMode,
     seed: int = 0,
     params: PlsParams = PlsParams(),
-    size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> SolveResult:
     """Phased local search for GMT; KRMT is not supported by this algorithm."""
     started = time.perf_counter()
     if problem.kind != "GMT":
         return _result(instance, _empty_phi(), Status.UNSUPPORTED, started)
     try:
-        graph = build_graph(instance, mode, size_limit=size_limit)
+        graph = build_graph(instance, mode)
     except SizeLimitExceeded:
         return _result(instance, _empty_phi(), Status.SIZE_ABORT, started)
     n = len(graph)
@@ -1114,30 +1092,17 @@ def solve_pls(
     stop_at = time.perf_counter() + params.wall_clock_budget
     state = _PlsState(graph)
     penalties = [0] * n
-    penalty_delay = max(1, params.penalty_delay)
+    penalty_delay = PLS_PENALTY_DELAY
     best: set = set()
     best_weight = 0.0
     iteration = 0
-
-    if params.schedule == "pullan":
-        schedule = [
-            ("random", params.iterations_random),
-            ("penalty", params.iterations_penalty),
-            ("greedy", params.iterations_greedy),
-        ]
-    else:
-        schedule = [
-            ("greedy", params.iterations_greedy),
-            ("penalty", params.iterations_penalty),
-            ("greedy", params.iterations_greedy),
-        ]
 
     def out_of_time() -> bool:
         return time.perf_counter() >= stop_at
 
     done = False
     while not done:
-        for phase, count in schedule:
+        for phase, count in PLS_SCHEDULE:
             for _ in range(count):
                 if out_of_time():
                     done = True
@@ -1288,9 +1253,9 @@ def _shorten(
     """Shorten a neighbor's interval so it no longer conflicts with the
     chosen activities, keeping its endpoints justified.
 
-    AM2 keeps the longest prefix; AM3 the longest conflict-free prefix,
-    infix or suffix (ties: earliest).  Returns None when nothing justified
-    and positive-length remains.
+    AM1 keeps the whole interval or nothing; AM2 the longest prefix; AM3 the
+    longest conflict-free prefix, infix or suffix (ties: earliest).  Returns
+    None when nothing justified and positive-length remains.
     """
     a, b = vertex.interval.start, vertex.interval.end
     blocks = [
@@ -1318,7 +1283,9 @@ def _shorten(
     if cursor < b:
         pieces.append((cursor, b))
 
-    if mode is AmMode.AM2:
+    if mode is AmMode.AM1:
+        pieces = [(s, t) for s, t in pieces if s == a and t == b]
+    elif mode is AmMode.AM2:
         pieces = [(s, t) for s, t in pieces if s == a]
 
     if not pieces:
@@ -1349,14 +1316,13 @@ def solve_intgraph(
     instance: Instance,
     problem: Problem,
     mode: AmMode,
-    relaxed: bool = False,
 ) -> SolveResult:
     """Iterated max-weight independent sets on the interval graph of presences.
 
     Each round selects a max-weight set of pairwise time-disjoint intervals
-    and, depending on the activity model, removes or shortens the remaining
-    intervals.  With ``relaxed`` (AM1 only), time-intersecting neighbors
-    that never actually conflict are kept instead of removed.
+    and shortens every remaining interval, as the activity model allows, so
+    that it no longer conflicts with the chosen ones (see :func:`_shorten`).
+    Intervals that overlap a chosen one in time without a conflict stay.
     """
     started = time.perf_counter()
     vertices: List[_IgVertex] = []
@@ -1387,16 +1353,6 @@ def solve_intgraph(
         remaining = []
         for i, v in enumerate(vertices):
             if i in picked:
-                continue
-            if mode is AmMode.AM1:
-                blocked = False
-                for lid, iv in iteration_chosen:
-                    if max(iv.start, v.interval.start) <= min(iv.end, v.interval.end):
-                        if not relaxed or _conflict_blocks(instance, v, [(lid, iv)]):
-                            blocked = True
-                            break
-                if not blocked:
-                    remaining.append(v)
                 continue
             shortened = _shorten(instance, v, iteration_chosen, all_chosen, mode)
             if shortened is not None and shortened.interval.length > 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .model import ActivitySet, Instance, IntegrityError, TimeInterval
@@ -133,29 +133,25 @@ def is_justified(
 
 
 def _k_bound_violations(phi: ActivitySet, k: int) -> list:
-    """Sweep over open activity intervals; report a witnessing time per excess region."""
-    events = []
-    for lid, intervals in phi.items():
+    """One sweep over the activity endpoints in time order.
+
+    Reports the midpoint of the first elementary slice (between consecutive
+    endpoints) on which more than ``k`` activities are open; one witnessing
+    time suffices.
+    """
+    delta: dict = {}  # endpoint -> activities opening minus closing there
+    for intervals in phi.activities.values():
         for iv in intervals:
             if iv.length > 0:
-                events.append((iv.start, 1))
-                events.append((iv.end, -1))
-    if not events:
-        return []
-    points = sorted({t for t, _ in events})
-    violations = []
+                delta[iv.start] = delta.get(iv.start, 0) + 1
+                delta[iv.end] = delta.get(iv.end, 0) - 1
+    points = sorted(delta)
+    open_count = 0
     for lo, hi in zip(points, points[1:]):
-        mid = 0.5 * (lo + hi)
-        count = sum(
-            1
-            for lid, intervals in phi.items()
-            for iv in intervals
-            if iv.start < mid < iv.end
-        )
-        if count > k:
-            violations.append(Violation("K-BOUND", (), (mid,)))
-            break  # one witnessing time suffices
-    return violations
+        open_count += delta[lo]
+        if open_count > k:
+            return [Violation("K-BOUND", (), (0.5 * (lo + hi),))]
+    return []
 
 
 def check_model(

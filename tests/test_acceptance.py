@@ -121,7 +121,7 @@ def nav_heuristic_runs(nav_corpus, nav_am1_exact):
         runs = {
             "greedy": solve_greedy(instance, GMT, AmMode.AM1),
             "pls": solve_pls(instance, GMT, AmMode.AM1, seed=seed),
-            "intgraph": solve_intgraph(instance, GMT, AmMode.AM1, relaxed=True),
+            "intgraph": solve_intgraph(instance, GMT, AmMode.AM1),
         }
         for name, result in runs.items():
             assert check_model(instance, result.phi, AmMode.AM1).valid, (seed, name)
@@ -165,7 +165,6 @@ def test_criterion_2_validity_suite(suite2):
                     solve_exact(instance, problem, mode, time_limit=60.0),
                     solve_greedy(instance, problem, mode),
                     solve_intgraph(instance, problem, mode),
-                    solve_intgraph(instance, problem, mode, relaxed=True),
                 ):
                     report = check_model(instance, result.phi, mode, k=problem.k)
                     assert report.valid, (seed, mode, problem, report.violations)

@@ -141,6 +141,15 @@ class TestValidate:
         )
         assert main(["validate", i1_file, str(sol), "--am", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "text", ['{"horizon": 1, "labels": 5}', '{"horizon": Infinity}']
+    )
+    def test_malformed_instance_exit_2(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["solve", str(bad), "--algo", "greedy"]) == 2
+        assert main(["validate", str(bad), str(bad)]) == 2
+
     def test_min_activity_enforced(self, i1_file, tmp_path):
         sol = tmp_path / "short.json"
         sol.write_text(

@@ -10,6 +10,7 @@ from chronolabel.model import (
     complexity,
     dump_instance,
     load_instance,
+    load_solution,
     make_activity_set,
     objective,
 )
@@ -84,6 +85,43 @@ def test_self_conflict_rejected():
 def test_malformed_json_is_parse_error():
     with pytest.raises(ParseError):
         load_instance("{not json")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"horizon": Infinity}',
+        '{"horizon": NaN}',
+        '{"horizon": 1e400}',
+        pytest.param('{"horizon": 1' + "0" * 400 + "}", id="integer-beyond-float"),
+        '{"horizon": 10, "labels": [{"id": "a", "weight": Infinity}]}',
+        '{"horizon": 10, "labels": [{"id": "a", "weight": 1}],'
+        ' "presences": [{"label": "a", "start": -Infinity, "end": 1}]}',
+    ],
+)
+def test_non_finite_number_is_parse_error(text):
+    with pytest.raises(ParseError):
+        load_instance(text)
+
+
+@pytest.mark.parametrize("field", ["labels", "presences", "conflicts"])
+@pytest.mark.parametrize("value", [5, "x", {}, [5], [["a"]], [None]])
+def test_instance_list_field_must_hold_objects(field, value):
+    with pytest.raises(ParseError):
+        load_instance(json.dumps({"horizon": 1, field: value}))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"activities": 5}',
+        '{"activities": [1, 2]}',
+        '{"activities": [{"label": "a", "start": 0, "end": Infinity}]}',
+    ],
+)
+def test_malformed_solution_is_parse_error(text):
+    with pytest.raises(ParseError):
+        load_solution(text)
 
 
 def test_nonpositive_weight_rejected():

@@ -1,11 +1,11 @@
+import json
 import random
 
 import pytest
 
-from chronolabel.model import TimeInterval, make_activity_set, objective
+from chronolabel.model import TimeInterval, load_instance, make_activity_set, objective
 from chronolabel.solvers import (
     GMT,
-    PlsParams,
     Problem,
     Status,
     krmt,
@@ -146,11 +146,6 @@ class TestPls:
                 result = solve_pls(instance, GMT, mode, seed=seed)
                 assert check_model(instance, result.phi, mode).valid, (seed, mode)
 
-    def test_pullan_schedule_runs(self, i1):
-        params = PlsParams(schedule="pullan", wall_clock_budget=0.05)
-        result = solve_pls(i1, GMT, AmMode.AM2, seed=3, params=params)
-        assert result.objective == 20.0
-
 
 class TestIntGraph:
     def test_i1_gmt_am2(self, i1):
@@ -164,10 +159,6 @@ class TestIntGraph:
             assert result.objective == 10.0
 
     def test_disjoint_presences_single_round(self):
-        import json
-
-        from chronolabel.model import load_instance
-
         instance = load_instance(
             json.dumps(
                 {
@@ -183,19 +174,53 @@ class TestIntGraph:
         result = solve_intgraph(instance, GMT, AmMode.AM1)
         assert result.objective == 8.0
 
+    @pytest.fixture
+    def overlap_without_conflict(self):
+        """b overlaps a in time but never conflicts with it; c conflicts with a."""
+        return load_instance(
+            json.dumps(
+                {
+                    "horizon": 10,
+                    "labels": [
+                        {"id": "a", "weight": 1},
+                        {"id": "b", "weight": 1},
+                        {"id": "c", "weight": 1},
+                    ],
+                    "presences": [
+                        {"label": "a", "start": 0, "end": 10},
+                        {"label": "b", "start": 2, "end": 8},
+                        {"label": "c", "start": 1, "end": 3},
+                    ],
+                    "conflicts": [{"a": "a", "b": "c", "start": 1, "end": 2}],
+                }
+            )
+        )
+
+    def test_am1_keeps_time_overlapping_non_conflicting(self, overlap_without_conflict):
+        result = solve_intgraph(overlap_without_conflict, GMT, AmMode.AM1)
+        assert result.phi.activities == {
+            "a": (TimeInterval(0.0, 10.0),),
+            "b": (TimeInterval(2.0, 8.0),),
+        }
+        assert result.objective == 16.0
+
+    def test_krmt_k2_beats_k1(self, overlap_without_conflict):
+        k1 = solve_intgraph(overlap_without_conflict, krmt(1), AmMode.AM1)
+        k2 = solve_intgraph(overlap_without_conflict, krmt(2), AmMode.AM1)
+        assert (k1.objective, k2.objective) == (10.0, 16.0)
+        assert check_model(overlap_without_conflict, k2.phi, AmMode.AM1, k=2).valid
+
     def test_outputs_model_valid(self):
         for seed in range(30):
             instance = random_instance(seed)
             for mode in AmMode:
                 for problem in (GMT, krmt(1), krmt(2)):
-                    for relaxed in (False, True):
-                        result = solve_intgraph(instance, problem, mode, relaxed=relaxed)
-                        assert check_model(instance, result.phi, mode, k=problem.k).valid, (
-                            seed,
-                            mode,
-                            problem,
-                            relaxed,
-                        )
+                    result = solve_intgraph(instance, problem, mode)
+                    assert check_model(instance, result.phi, mode, k=problem.k).valid, (
+                        seed,
+                        mode,
+                        problem,
+                    )
 
 
 class TestMwisIntervals:

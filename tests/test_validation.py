@@ -1,8 +1,17 @@
+import random
+
 import pytest
 
 from chronolabel.conflict_graph import build_graph
 from chronolabel.model import IntegrityError, TimeInterval, make_activity_set, objective
-from chronolabel.validation import AmMode, check_model, check_valid, is_justified, saturate
+from chronolabel.validation import (
+    AmMode,
+    _k_bound_violations,
+    check_model,
+    check_valid,
+    is_justified,
+    saturate,
+)
 
 from conftest import random_instance
 
@@ -89,6 +98,41 @@ class TestCheckModel:
         assert not report.valid
         kb = [v for v in report.violations if v.rule == "K-BOUND"]
         assert kb and 2.0 < kb[0].detail[0] < 4.0
+
+    def test_k_bound_sweep_matches_rescan(self):
+        def rescan(phi, k):
+            points = sorted(
+                {
+                    p
+                    for ivs in phi.activities.values()
+                    for iv in ivs
+                    if iv.length > 0
+                    for p in (iv.start, iv.end)
+                }
+            )
+            for lo, hi in zip(points, points[1:]):
+                mid = 0.5 * (lo + hi)
+                count = sum(
+                    1 for ivs in phi.activities.values() for iv in ivs if iv.start < mid < iv.end
+                )
+                if count > k:
+                    return [mid]
+            return []
+
+        rng = random.Random(7)
+        for _ in range(500):
+            raw = {}
+            for i in range(rng.randint(0, 6)):
+                steps = sorted(rng.sample(range(21), 2 * rng.randint(0, 3)))
+                # pairs of grid steps; a repeated step gives a zero-length activity
+                raw[f"l{i}"] = [
+                    TimeInterval(s / 2.0, max(s, e - rng.randint(0, 1)) / 2.0)
+                    for s, e in zip(steps[::2], steps[1::2])
+                ]
+            phi = make_activity_set(raw)
+            k = rng.randint(1, 4)
+            got = [v.detail[0] for v in _k_bound_violations(phi, k)]
+            assert got == rescan(phi, k), (raw, k)
 
     def test_k_bound_huge_k_never_violated(self):
         for seed in range(20):
