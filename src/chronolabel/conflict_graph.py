@@ -79,16 +79,6 @@ class ConflictGraph:
             raw.setdefault(c.label_id, []).append(c.interval)
         return make_activity_set(raw)
 
-    def dump_dimacs(self) -> str:
-        lines = [f"c chronolabel conflict graph mode={self.mode.name}"]
-        for c in self.candidates:
-            lines.append(f"v {c.id} {c.weight!r}")
-        for u, neigh in enumerate(self.adjacency):
-            for v in neigh:
-                if u < v:
-                    lines.append(f"e {u} {v}")
-        return "\n".join(lines) + "\n"
-
 
 def candidate_conflict(instance: Instance, c1: Candidate, c2: Candidate) -> bool:
     """True iff a conflict of the two labels meets the open overlap of the candidates."""

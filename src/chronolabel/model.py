@@ -41,18 +41,6 @@ class TimeInterval:
     def contains(self, other: "TimeInterval") -> bool:
         return self.start <= other.start and other.end <= self.end
 
-    def intersects_open(self, other: "TimeInterval") -> bool:
-        """True iff the open interiors share a point.
-
-        A degenerate interval has an empty interior, so it can only hit the
-        *other* interval's interior when it sits strictly inside it.
-        """
-        if self.start == self.end:
-            return other.start < self.start < other.end
-        if other.start == other.end:
-            return self.start < other.start < self.end
-        return max(self.start, other.start) < min(self.end, other.end)
-
 
 @dataclass(frozen=True)
 class Label:
@@ -172,9 +160,6 @@ class ActivitySet:
     def items(self):
         return self.activities.items()
 
-    def total_count(self) -> int:
-        return sum(len(v) for v in self.activities.values())
-
 
 def make_activity_set(raw: Mapping[str, Iterable[TimeInterval]]) -> ActivitySet:
     return ActivitySet({lid: tuple(sorted(ivs)) for lid, ivs in raw.items() if ivs})
@@ -215,20 +200,25 @@ def _load_json(source: Source) -> dict:
         raise ParseError(f"malformed JSON: {exc}") from exc
 
 
-def _num(obj: dict, key: str, where: str) -> float:
-    try:
-        value = obj[key]
-    except KeyError:
-        raise ParseError(f"{where}: missing field {key!r}")
+def finite_number(value, what: str) -> float:
+    """A parsed JSON value as a float; ParseError unless it is a finite number."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"{where}: field {key!r} must be a number")
+        raise ParseError(f"{what} must be a number")
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ParseError(f"{where}: field {key!r} must be a finite number")
+        raise ParseError(f"{what} must be a finite number")
     return number
+
+
+def _num(obj: dict, key: str, where: str) -> float:
+    try:
+        value = obj[key]
+    except KeyError:
+        raise ParseError(f"{where}: missing field {key!r}")
+    return finite_number(value, f"{where}: field {key!r}")
 
 
 def _text(obj: dict, key: str, where: str) -> str:
@@ -260,10 +250,11 @@ def load_instance(source: Source) -> Instance:
         lid = _text(raw, "id", f"labels[{i}]")
         if lid in labels:
             raise IntegrityError(f"duplicate label id {lid!r}")
+        name = raw.get("name", "")
+        if not isinstance(name, str):
+            raise ParseError(f"labels[{i}]: field 'name' must be a string")
         labels[lid] = Label(
-            id=lid,
-            weight=_num(raw, "weight", f"labels[{i}]"),
-            display_name=raw.get("name", ""),
+            id=lid, weight=_num(raw, "weight", f"labels[{i}]"), display_name=name
         )
     presences: dict = {}
     for i, raw in enumerate(_objects(doc, "presences")):

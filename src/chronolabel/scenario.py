@@ -31,6 +31,7 @@ from .model import (
     Label,
     ParseError,
     TimeInterval,
+    finite_number,
 )
 
 VIEWPORT_PX = (800.0, 600.0)
@@ -97,6 +98,8 @@ class Scenario:
                 raise IntegrityError("consecutive route points must be distinct")
         if self.smoothing_radius < 0:
             raise IntegrityError("smoothing radius must be >= 0")
+        if not (self.dt > 0 and self.eps > 0):
+            raise IntegrityError("sampling step dt and tolerance eps must be positive")
 
     @property
     def base_ppm(self) -> float:
@@ -462,10 +465,6 @@ class _SampledPath:
         yv = (rx * self.sin_a + ry * self.cos_a) * self.ppm
         return xv, yv
 
-    def visible(self, poi: Poi) -> np.ndarray:
-        xv, yv = self.view_xy(poi)
-        return self._visible_xy(xv, yv, poi)
-
     @staticmethod
     def _visible_xy(xv, yv, poi: Poi):
         half_w, half_h = VIEWPORT_PX[0] / 2, VIEWPORT_PX[1] / 2
@@ -595,32 +594,40 @@ def load_scenario(source: Source) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
     try:
-        route = tuple((float(p[0]), float(p[1])) for p in doc["route"])
-        speeds = tuple(float(v) for v in doc["speed_mps"])
+        route = tuple(
+            (finite_number(p[0], "route point"), finite_number(p[1], "route point"))
+            for p in doc["route"]
+        )
+        speeds = tuple(finite_number(v, "edge speed") for v in doc["speed_mps"])
         pois = tuple(
             Poi(
-                x=float(p["x"]),
-                y=float(p["y"]),
-                w_px=float(p["w_px"]),
-                h_px=float(p["h_px"]),
-                weight=float(p.get("weight", 1.0)),
+                x=finite_number(p["x"], "poi x"),
+                y=finite_number(p["y"], "poi y"),
+                w_px=finite_number(p["w_px"], "poi w_px"),
+                h_px=finite_number(p["h_px"], "poi h_px"),
+                weight=finite_number(p.get("weight", 1.0), "poi weight"),
                 name=p.get("name", ""),
             )
             for p in doc.get("pois", [])
         )
+        if not all(isinstance(poi.name, str) for poi in pois):
+            raise ParseError("poi name must be a string")
+        settings = doc.get("settings", {})
+        if not isinstance(settings, dict):
+            raise ParseError("settings must be an object")
+        values = {
+            key: finite_number(settings.get(key, default), f"setting {key!r}")
+            for key, default in (
+                ("smoothing_radius", DEFAULT_SMOOTHING_RADIUS),
+                ("zoom_ramp", DEFAULT_ZOOM_RAMP),
+                ("min_zoom_gap", DEFAULT_MIN_ZOOM_GAP),
+                ("dt", DEFAULT_DT),
+                ("eps", DEFAULT_EPS),
+            )
+        }
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"scenario: {exc}") from exc
-    settings = doc.get("settings", {})
-    return Scenario(
-        route=route,
-        speeds=speeds,
-        pois=pois,
-        smoothing_radius=float(settings.get("smoothing_radius", DEFAULT_SMOOTHING_RADIUS)),
-        zoom_ramp=float(settings.get("zoom_ramp", DEFAULT_ZOOM_RAMP)),
-        min_zoom_gap=float(settings.get("min_zoom_gap", DEFAULT_MIN_ZOOM_GAP)),
-        dt=float(settings.get("dt", DEFAULT_DT)),
-        eps=float(settings.get("eps", DEFAULT_EPS)),
-    )
+    return Scenario(route=route, speeds=speeds, pois=pois, **values)
 
 
 def dump_scenario(scenario: Scenario) -> str:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conflict_graph import Candidate, ConflictGraph, SizeLimitExceeded, build_graph
 from .model import ActivitySet, Instance, TimeInterval, make_activity_set, objective
-from .validation import AmMode, is_justified, saturate, saturate_excluding
+from .validation import AmMode, is_justified, saturate_excluding
 
 
 class Status(enum.Enum):
@@ -215,11 +215,11 @@ class _Deadline:
         self.hit = seconds <= 0
         self._ticks = 0
 
-    def check(self, every: int = 256) -> bool:
+    def check(self) -> bool:
         if self.hit:
             return True
         self._ticks += 1
-        if self._ticks % every == 0 and time.perf_counter() >= self.at:
+        if self._ticks % 256 == 0 and time.perf_counter() >= self.at:
             self.hit = True
         return self.hit
 
@@ -457,88 +457,6 @@ class _GroupTimeout(Exception):
     pass
 
 
-def _slice_cliques(instance: Instance, graph: ConflictGraph, clusters: List[List[int]]) -> List[tuple]:
-    """Clique family for the Lagrangian bound.
-
-    Two sources: per conflict entry, the candidates of the two labels
-    covering an elementary slice of the conflict interval (they pairwise
-    conflict); and per global elementary slice, greedily grown maximal
-    cliques over all candidates covering it.  Both exploit that conflicts
-    are intervals in time, so co-covering candidates collide wholesale.
-    """
-    part = [v for m in clusters for v in m]
-    part_set = set(part)
-    labels_in = {graph.candidates[m[0]].label_id for m in clusters}
-    by_label: Dict[str, List[int]] = {}
-    for v in part:
-        by_label.setdefault(graph.candidates[v].label_id, []).append(v)
-    events = sorted(
-        {p for v in part for p in (graph.candidates[v].interval.start, graph.candidates[v].interval.end)}
-    )
-    cliques: List[tuple] = []
-    seen = set()
-
-    def emit(cols) -> None:
-        if len(cols) >= 2:
-            key = tuple(sorted(cols))
-            if key not in seen:
-                seen.add(key)
-                cliques.append(key)
-
-    for entry in instance.conflicts:
-        if entry.a not in labels_in or entry.b not in labels_in:
-            continue
-        lo, hi = entry.interval.start, entry.interval.end
-        cand_ab = by_label.get(entry.a, []) + by_label.get(entry.b, [])
-        if lo == hi:
-            slices = [(lo, hi)]
-        else:
-            points = [lo] + [e for e in events if lo < e < hi] + [hi]
-            slices = list(zip(points, points[1:]))
-        for p, q in slices:
-            if p == q:  # degenerate conflict: only strict containment collides
-                emit(
-                    [
-                        v
-                        for v in cand_ab
-                        if graph.candidates[v].interval.start < p < graph.candidates[v].interval.end
-                    ]
-                )
-            else:
-                emit(
-                    [
-                        v
-                        for v in cand_ab
-                        if graph.candidates[v].interval.start <= p
-                        and graph.candidates[v].interval.end >= q
-                    ]
-                )
-
-    adj = graph._adj_sets
-    for p, q in zip(events, events[1:]):
-        cover = sorted(
-            (
-                v
-                for v in part_set
-                if graph.candidates[v].interval.start <= p and graph.candidates[v].interval.end >= q
-            ),
-            key=lambda v: -graph.weight(v),
-        )
-        while len(cover) >= 2:
-            members = [cover[0]]
-            rest = []
-            for u in cover[1:]:
-                if all(u in adj[m] for m in members):
-                    members.append(u)
-                else:
-                    rest.append(u)
-            if len(members) < 2:
-                break
-            emit(members)
-            cover = rest
-    return cliques
-
-
 class _GroupSolver:
     """Exact GMT solver for one label group via decomposing branch-and-bound.
 
@@ -554,23 +472,17 @@ class _GroupSolver:
     so the decomposition never separates a requirement from its witnesses.
     """
 
-    LAGRANGIAN_MIN_SIZE = 60  # candidates; below this the cluster bound suffices
-    SUBGRADIENT_ITERATIONS = 250
-
     def __init__(
         self,
-        instance: Instance,
         graph: ConflictGraph,
         requirements: Dict[int, List[frozenset]],
         clusters: List[List[int]],
         deadline: _Deadline,
-        warm_weight: float = 0.0,
     ):
         self.graph = graph
         self.requirements = requirements
         self.deadline = deadline
         self.chosen: set = set()
-        self.clusters = clusters
         self.cluster_of = {v: i for i, m in enumerate(clusters) for v in m}
         # cluster-level adjacency (any candidate edge); coarser than the live
         # candidate adjacency but cheap to intersect per node
@@ -596,93 +508,13 @@ class _GroupSolver:
                 for u in wit:
                     self.witnessed_by.setdefault(u, set()).add(v)
         self.memo: Dict[tuple, tuple] = {}
-        # Lagrangian bound state: reduced candidate weights and the constant
-        # multiplier mass (see _fit_multipliers)
-        self.reduced = {v: graph.weight(v) for v in self.cluster_of}
-        self.lam_total = 0.0
-        if len(self.cluster_of) >= self.LAGRANGIAN_MIN_SIZE:
-            self._fit_multipliers(instance, warm_weight)
-
-    def _fit_multipliers(self, instance: Instance, lower_bound: float) -> None:
-        """Subgradient ascent on a Lagrangian relaxation of the clique
-        constraints (keeping the one-per-cluster constraints exact).
-
-        For multipliers lam >= 0 on any clique family, any independent set S
-        satisfies  w(S) <= sum(lam) + sum over clusters of max(0, max reduced
-        weight), where reduced(v) = w(v) - sum of lam over cliques containing
-        v.  The inequality survives restriction to a candidate subset, so the
-        multipliers fitted once at the root bound every subproblem.
-        """
-        graph = self.graph
-        cliques = _slice_cliques(instance, graph, self.clusters)
-        if not cliques:
-            return
-        membership: Dict[int, List[int]] = {v: [] for v in self.cluster_of}
-        for qi, cols in enumerate(cliques):
-            for v in cols:
-                membership[v].append(qi)
-        lam = [0.0] * len(cliques)
-        weights = {v: graph.weight(v) for v in self.cluster_of}
-        best_bound = float("inf")
-        best_lam = lam
-        mu = 2.0
-        stall = 0
-        for _ in range(self.SUBGRADIENT_ITERATIONS):
-            if self.deadline.check(every=1):
-                break
-            reduced = dict(weights)
-            for qi, cols in enumerate(cliques):
-                l = lam[qi]
-                if l:
-                    for v in cols:
-                        reduced[v] -= l
-            bound = sum(lam)
-            x = set()
-            for m in self.clusters:
-                pick = max(m, key=lambda v: reduced[v])
-                if reduced[pick] > 0:
-                    x.add(pick)
-                    bound += reduced[pick]
-            if bound < best_bound - 1e-9:
-                best_bound = bound
-                best_lam = list(lam)
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 20:
-                    mu *= 0.5
-                    stall = 0
-            grad = [sum(1 for v in cols if v in x) - 1 for cols in cliques]
-            norm = sum(g * g for g in grad)
-            if norm == 0:
-                break
-            step = mu * max(bound - lower_bound, 0.1) / norm
-            lam = [max(0.0, l + step * g) for l, g in zip(lam, grad)]
-        self.lam_total = sum(best_lam)
-        self.reduced = dict(weights)
-        for qi, cols in enumerate(cliques):
-            l = best_lam[qi]
-            if l:
-                for v in cols:
-                    self.reduced[v] -= l
 
     MEMO_LIMIT = 200_000  # entries; keeps worst-case memory in the hundreds of MB
 
     def _bound(self, avail) -> float:
-        """Min of the cluster-maxima bound and the Lagrangian bound."""
+        """Sum of the cluster maxima (lists are sorted by descending weight)."""
         weight = self.graph.weight
-        reduced = self.reduced
-        cluster_bound = 0.0
-        lagr = self.lam_total
-        for m in avail.values():
-            cluster_bound += weight(m[0])  # sorted by descending weight
-            best = 0.0
-            for v in m:
-                r = reduced[v]
-                if r > best:
-                    best = r
-            lagr += best
-        return min(cluster_bound, lagr)
+        return sum(weight(m[0]) for m in avail.values())
 
     def solve(self, avail: Dict[int, List[int]], musts: List[frozenset], alpha: float):
         """Best (selection, weight) with weight > ``alpha``, else None.
@@ -882,16 +714,16 @@ def _solve_group(
         for m in clusters
     ]
     kept = [m for m in kept if m]
-    root_bound = sum(graph.weight(m[0]) for m in kept)
     depth_needed = 8 * len(kept) + 200
     if sys.getrecursionlimit() < depth_needed:
         sys.setrecursionlimit(depth_needed)
     warm_weight = graph.selection_weight(warm)
-    solver = _GroupSolver(instance, graph, requirements, kept, deadline, warm_weight)
+    solver = _GroupSolver(graph, requirements, kept, deadline)
+    avail = dict(enumerate(kept))
     try:
-        res = solver.solve({i: m for i, m in enumerate(kept)}, [], warm_weight)
+        res = solver.solve(avail, [], warm_weight)
     except _GroupTimeout:
-        return warm, False, root_bound
+        return warm, False, solver._bound(avail)
     if res is None:  # nothing beats the warm start, so it is optimal
         return warm, True, warm_weight
     return set(res[0]), True, res[1]
@@ -1156,7 +988,7 @@ def solve_pls(
             if done:
                 break
 
-    selection = repair_selection(instance, graph, saturate(instance, graph, best), mode)
+    selection = repair_selection(instance, graph, best, mode)
     phi = graph.to_activity_set(selection)
     return _result(instance, phi, Status.FEASIBLE, started)
 

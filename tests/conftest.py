@@ -2,12 +2,17 @@ import random
 
 import pytest
 
+from chronolabel.cli import apply_min_activity
 from chronolabel.model import (
     ConflictEntry,
     Instance,
     Label,
     TimeInterval,
+    complexity,
 )
+from chronolabel.scenario import extract_instance, synthesize_scenario
+
+NAV_COMPLEXITY = (100, 3000)
 
 
 def build_i1() -> Instance:
@@ -90,3 +95,19 @@ def random_instance(
         presences=presences,
         conflicts=tuple(sorted(conflicts, key=lambda c: (c.a, c.b, c.interval))),
     )
+
+
+def navigation_corpus(size: int) -> list:
+    """The first ``size`` synthetic drives, by seed, as ``(seed, instance)``.
+
+    Presences shorter than 1 s are dropped, and only instances whose
+    complexity lies in ``NAV_COMPLEXITY`` are kept.
+    """
+    corpus = []
+    seed = 0
+    while len(corpus) < size:
+        instance = apply_min_activity(extract_instance(synthesize_scenario(seed)), 1.0)
+        if NAV_COMPLEXITY[0] <= complexity(instance) <= NAV_COMPLEXITY[1]:
+            corpus.append((seed, instance))
+        seed += 1
+    return corpus

@@ -65,3 +65,102 @@ def brute_force_mwis(items: List[Tuple[TimeInterval, float]]) -> float:
             if w > best:
                 best = w
     return best
+
+
+def _conflicting_pairs(instance: Instance, candidates) -> set:
+    """Candidate id pairs whose open overlap meets a conflict of their labels."""
+    by_label: Dict[str, list] = {}
+    for c in candidates:
+        by_label.setdefault(c.label_id, []).append(c)
+    pairs = set()
+    for entry in instance.conflicts:
+        lo_c, hi_c = entry.interval.start, entry.interval.end
+        near = {
+            lid: [
+                c for c in by_label.get(lid, ()) if c.interval.start < hi_c and c.interval.end > lo_c
+            ]
+            for lid in entry.pair
+        }
+        for ca in near[entry.a]:
+            for cb in near[entry.b]:
+                lo = max(ca.interval.start, cb.interval.start)
+                hi = min(ca.interval.end, cb.interval.end)
+                if lo < hi and lo_c < hi and hi_c > lo:
+                    pairs.add((ca.id, cb.id))
+    return pairs
+
+
+def milp_gmt(instance: Instance, mode: AmMode, time_limit: float = 60.0):
+    """Optimal GMT value and activity set from a 0/1 program solved by HiGHS.
+
+    One variable per candidate of ``build_graph``; every constraint is built
+    from the instance itself: at most one candidate per presence interval, no
+    two candidates whose open overlap meets a conflict, and each endpoint
+    inside its presence at most the sum of the candidates that can witness
+    it (a candidate of a conflict partner, whose conflict ends at that start
+    or starts at that end, active at that time).
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    graph = build_graph(instance, mode)
+    candidates = graph.candidates
+    n = len(candidates)
+    if n == 0:
+        return 0.0, graph.to_activity_set([])
+    ends_at: Dict[tuple, set] = {}  # (label, time) -> partners whose conflict ends then
+    starts_at: Dict[tuple, set] = {}
+    for entry in instance.conflicts:
+        for lid, other in ((entry.a, entry.b), (entry.b, entry.a)):
+            ends_at.setdefault((lid, entry.interval.end), set()).add(other)
+            starts_at.setdefault((lid, entry.interval.start), set()).add(other)
+    by_label: Dict[str, list] = {}
+    for c in candidates:
+        by_label.setdefault(c.label_id, []).append(c)
+
+    rows: List[List[Tuple[int, float]]] = []
+    ubs: List[float] = []
+    presences: Dict[tuple, List[int]] = {}
+    for c in candidates:
+        presences.setdefault((c.label_id, c.presence_index), []).append(c.id)
+    for members in presences.values():
+        rows.append([(v, 1.0) for v in members])
+        ubs.append(1.0)
+    for u, v in _conflicting_pairs(instance, candidates):
+        rows.append([(u, 1.0), (v, 1.0)])
+        ubs.append(1.0)
+    for c in candidates:
+        presence = instance.presences_of(c.label_id)[c.presence_index]
+        for t, inner, partners in (
+            (c.interval.start, c.interval.start != presence.start, ends_at),
+            (c.interval.end, c.interval.end != presence.end, starts_at),
+        ):
+            if not inner:
+                continue
+            witnesses = {
+                u.id
+                for other in partners.get((c.label_id, t), ())
+                for u in by_label.get(other, ())
+                if u.interval.start <= t <= u.interval.end
+            }
+            rows.append([(c.id, 1.0)] + [(u, -1.0) for u in sorted(witnesses)])
+            ubs.append(0.0)
+
+    row_idx = [r for r, row in enumerate(rows) for _ in row]
+    col_idx = [v for row in rows for v, _ in row]
+    values = [a for row in rows for _, a in row]
+    matrix = coo_array((values, (row_idx, col_idx)), shape=(len(rows), n)).tocsr()
+    weights = np.array([c.weight for c in candidates])
+    res = milp(
+        -weights,
+        constraints=LinearConstraint(matrix, -np.inf, np.array(ubs)),
+        integrality=np.ones(n),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0.0, "time_limit": time_limit},
+    )
+    if res.status != 0:
+        raise RuntimeError(f"MILP oracle did not prove optimality: {res.message}")
+    selection = [v for v in range(n) if res.x[v] > 0.5]
+    phi = graph.to_activity_set(selection)
+    return objective(instance, phi), phi

@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from chronolabel.cli import apply_min_activity
 from chronolabel.conflict_graph import build_graph
 from chronolabel.model import TimeInterval, complexity
 from chronolabel.scenario import (
@@ -37,13 +36,12 @@ from chronolabel.solvers import (
 )
 from chronolabel.validation import AmMode, check_model, saturate
 
-from conftest import random_instance
+from conftest import NAV_COMPLEXITY, navigation_corpus, random_instance
 from oracle import brute_force_mwis, enumerate_optima
 
 SUITE1_SIZE = 200  # small instances (<= 10 presences, <= 15 conflicts)
 SUITE2_SIZE = 500  # medium instances (<= 40 presences)
 NAV_CORPUS_SIZE = 50
-NAV_COMPLEXITY = (100, 3000)
 KS = (None, 1, 2)
 
 # exact-reference caps for the navigation corpus (well under the 600 s
@@ -92,14 +90,7 @@ def suite2_exact(suite2):
 @pytest.fixture(scope="module")
 def nav_corpus():
     """>= 50 synthetic navigation instances with complexity in range."""
-    corpus = []
-    seed = 0
-    while len(corpus) < NAV_CORPUS_SIZE:
-        instance = apply_min_activity(extract_instance(synthesize_scenario(seed)), 1.0)
-        if NAV_COMPLEXITY[0] <= complexity(instance) <= NAV_COMPLEXITY[1]:
-            corpus.append((seed, instance))
-        seed += 1
-    return corpus
+    return navigation_corpus(NAV_CORPUS_SIZE)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,22 @@ class TestGenerate:
 
     def test_missing_scenario_file(self, tmp_path):
         assert main(["generate", str(tmp_path / "nope.json"), "--out", "x"]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"settings": {"dt": "x"}},
+            {"settings": [1]},
+            {"settings": {"dt": 0}},
+            {"route": [[math.inf, 0], [0, 1000]]},
+        ],
+    )
+    def test_malformed_scenario_exit_2(self, tmp_path, doc):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(
+            json.dumps({"route": [[0, 0], [0, 1000]], "speed_mps": [10.0], "pois": [], **doc})
+        )
+        assert main(["generate", str(scenario), "--out", str(tmp_path / "out.json")]) == 2
 
     def test_min_activity_filter(self):
         instance = build_i1()

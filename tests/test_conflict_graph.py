@@ -115,11 +115,3 @@ class TestCandidateConflict:
         c3 = next(c for c in graph.candidates if c.label_id == "l3")
         assert not candidate_conflict(i1, c1, c3)
 
-
-def test_dimacs_dump(i1):
-    graph = build_graph(i1, AmMode.AM1)
-    text = graph.dump_dimacs()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("c ") and "AM1" in lines[0]
-    assert sum(1 for l in lines if l.startswith("v ")) == 3
-    assert sum(1 for l in lines if l.startswith("e ")) == 1

@@ -124,6 +124,14 @@ def test_malformed_solution_is_parse_error(text):
         load_solution(text)
 
 
+@pytest.mark.parametrize("name", [5, None, ["Alpha"]])
+def test_label_name_must_be_string(name):
+    doc = json.loads(I1_JSON)
+    doc["labels"][0]["name"] = name
+    with pytest.raises(ParseError):
+        load_instance(json.dumps(doc))
+
+
 def test_nonpositive_weight_rejected():
     doc = json.loads(I1_JSON)
     doc["labels"][0]["weight"] = 0

@@ -1,8 +1,9 @@
+import json
 import math
 
 import pytest
 
-from chronolabel.model import IntegrityError
+from chronolabel.model import IntegrityError, ParseError
 from chronolabel.scenario import (
     Poi,
     Scenario,
@@ -18,6 +19,15 @@ from chronolabel.scenario import (
     synthesize_scenario,
 )
 from dataclasses import replace
+
+
+SCENARIO_JSON = json.dumps(
+    {
+        "route": [[0, 0], [0, 1000]],
+        "speed_mps": [10.0],
+        "pois": [{"x": 10, "y": 500, "w_px": 40, "h_px": 18, "weight": 1, "name": "Alpha"}],
+    }
+)
 
 
 def small_scenario(seed: int) -> Scenario:
@@ -193,6 +203,37 @@ class TestSerialization:
     def test_round_trip(self):
         scenario = small_scenario(4)
         assert load_scenario(dump_scenario(scenario)) == scenario
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("settings",), {"dt": "x"}, id="setting-string"),
+            pytest.param(("settings",), [1], id="settings-list"),
+            pytest.param(("settings",), {"eps": math.nan}, id="setting-nan"),
+            pytest.param(("settings",), {"zoom_ramp": math.inf}, id="setting-inf"),
+            pytest.param(("route", 0), [math.inf, 0], id="route-inf"),
+            pytest.param(("route", 0), ["a", 0], id="route-string"),
+            pytest.param(("speed_mps", 0), math.inf, id="speed-inf"),
+            pytest.param(("pois", 0, "x"), -math.inf, id="poi-x-inf"),
+            pytest.param(("pois", 0, "weight"), math.nan, id="poi-weight-nan"),
+            pytest.param(("pois", 0, "name"), 5, id="poi-name-number"),
+        ],
+    )
+    def test_malformed_scenario_is_parse_error(self, path, value):
+        doc = json.loads(SCENARIO_JSON)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ParseError):
+            load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("settings", [{"dt": 0}, {"dt": -0.05}, {"eps": 0}, {"eps": -1}])
+    def test_nonpositive_dt_or_eps_rejected(self, settings):
+        doc = json.loads(SCENARIO_JSON)
+        doc["settings"] = settings
+        with pytest.raises(IntegrityError):
+            load_scenario(json.dumps(doc))
 
     def test_synthesize_deterministic(self):
         assert synthesize_scenario(5) == synthesize_scenario(5)

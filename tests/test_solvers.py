@@ -17,8 +17,12 @@ from chronolabel.solvers import (
 )
 from chronolabel.validation import AmMode, check_model
 
-from conftest import random_instance
-from oracle import brute_force_mwis, enumerate_optima, enumeration_search_space
+from conftest import navigation_corpus, random_instance
+from oracle import brute_force_mwis, enumerate_optima, enumeration_search_space, milp_gmt
+
+# First navigation-corpus instances cross-checked against the MILP oracle;
+# HiGHS needs about 12 s for their 36 GMT solves on a 2-CPU host.
+MILP_NAV_INSTANCES = 12
 
 
 class TestExact:
@@ -55,6 +59,28 @@ class TestExact:
                     got = solve_exact(instance, problem, mode)
                     assert got.status is Status.OPTIMAL
                     assert got.objective == want, (seed, mode, k)
+
+    def test_milp_oracle_matches_enumeration(self):
+        pytest.importorskip("scipy.optimize")
+        for seed in range(25):
+            instance = random_instance(seed, max_labels=4, max_conflicts=6)
+            if enumeration_search_space(instance, AmMode.AM3) > 20000:
+                continue
+            for mode in AmMode:
+                want = enumerate_optima(instance, mode, ks=[None])[None]
+                got, phi = milp_gmt(instance, mode)
+                assert check_model(instance, phi, mode).valid
+                assert got == pytest.approx(want, rel=1e-9), (seed, mode)
+
+    def test_gmt_matches_milp_oracle_on_nav_corpus(self):
+        pytest.importorskip("scipy.optimize")
+        for seed, instance in navigation_corpus(MILP_NAV_INSTANCES):
+            for mode in AmMode:
+                want, phi = milp_gmt(instance, mode)
+                assert check_model(instance, phi, mode).valid
+                got = solve_exact(instance, GMT, mode, time_limit=60.0)
+                assert got.status is Status.OPTIMAL, (seed, mode)
+                assert got.objective == pytest.approx(want, rel=1e-9), (seed, mode)
 
     def test_k_monotone(self):
         for seed in range(10):
