@@ -10,7 +10,9 @@ Phase 1 turns this into an :class:`~chronolabel.model.Instance`: presence
 intervals are the maximal time ranges during which a label's box intersects
 the viewport, conflict intervals the maximal ranges during which two boxes
 intersect.  State changes are detected on a uniform sampling grid and
-refined by bisection.
+refined by one batched bisection; both evaluate the same vectorized
+geometry (:func:`viewport_poses`, :func:`label_boxes`, :func:`in_view`,
+:func:`overlap`).
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import IO, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -130,11 +131,10 @@ class _Segment:
     def is_arc(self) -> bool:
         return False
 
-    def point(self, s: float):
-        return (self.p0[0] + self.direction[0] * s, self.p0[1] + self.direction[1] * s)
-
-    def heading(self, s: float):
-        return self.direction
+    def pose(self, s: np.ndarray):
+        """(x, y, heading x, heading y) at the arc lengths ``s``."""
+        dx, dy = self.direction
+        return self.p0[0] + dx * s, self.p0[1] + dy * s, dx, dy
 
 
 class _Arc:
@@ -153,42 +153,21 @@ class _Arc:
     def is_arc(self) -> bool:
         return True
 
-    def _angle(self, s: float) -> float:
-        return self.a0 + self.side * s / self.radius
-
-    def point(self, s: float):
-        a = self._angle(s)
+    def pose(self, s: np.ndarray):
+        """(x, y, heading x, heading y) at the arc lengths ``s``."""
+        a = self.a0 + self.side * s / self.radius
         return (
-            self.center[0] + self.radius * math.cos(a),
-            self.center[1] + self.radius * math.sin(a),
+            self.center[0] + self.radius * np.cos(a),
+            self.center[1] + self.radius * np.sin(a),
+            -self.side * np.sin(a),
+            self.side * np.cos(a),
         )
-
-    def heading(self, s: float):
-        a = self._angle(s)
-        return (-self.side * math.sin(a), self.side * math.cos(a))
 
 
 @dataclass(frozen=True)
 class Trajectory:
     pieces: tuple
     duration: float
-    _starts: tuple = field(repr=False, default=())
-
-    def point_at(self, t: float):
-        return self._piece(t).point(self._offset(t))
-
-    def heading_at(self, t: float):
-        return self._piece(t).heading(self._offset(t))
-
-    def _piece(self, t: float):
-        if not (0 <= t <= self.duration):
-            raise ValueError(f"t={t} outside [0, {self.duration}]")
-        i = bisect_right(self._starts, t) - 1
-        return self.pieces[min(i, len(self.pieces) - 1)]
-
-    def _offset(self, t: float) -> float:
-        piece = self._piece(t)
-        return min((t - piece.t0) * piece.speed, piece.length)
 
 
 _COLLINEAR_EPS = 1e-12
@@ -257,7 +236,7 @@ def smooth_route(
         piece.t0 = t
         t += piece.length / piece.speed
         piece.t1 = t
-    return Trajectory(tuple(pieces), t, tuple(p.t0 for p in pieces))
+    return Trajectory(tuple(pieces), t)
 
 
 def _append_segment(pieces: list, p0, p1, speed: float) -> None:
@@ -324,231 +303,170 @@ def build_zoom_plan(scenario: Scenario, trajectory: Trajectory) -> ZoomPlan:
 
 
 # ---------------------------------------------------------------------------
-# Viewport pose and screen-space label boxes
+# Viewport poses and screen-space label boxes, vectorized over time
 
 
-@dataclass(frozen=True)
-class ViewportPose:
-    center: tuple  # map-plane point
-    alpha: float  # radians clockwise from north (driving direction up)
-    zoom: float
+class Poses(NamedTuple):
+    """Viewport poses at an array of times.
 
-
-def pose_at(trajectory: Trajectory, zoom_plan: ZoomPlan, t: float) -> ViewportPose:
-    hx, hy = trajectory.heading_at(t)
-    return ViewportPose(
-        center=trajectory.point_at(t),
-        alpha=math.atan2(hx, hy),
-        zoom=float(zoom_plan.z_at(t)),
-    )
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned rectangle in viewport coordinates (origin at the center)."""
-
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-    def intersects(self, other: "Box") -> bool:
-        return (
-            self.x0 <= other.x1
-            and other.x0 <= self.x1
-            and self.y0 <= other.y1
-            and other.y0 <= self.y1
-        )
-
-
-def _viewport_box() -> Box:
-    return Box(-VIEWPORT_PX[0] / 2, -VIEWPORT_PX[1] / 2, VIEWPORT_PX[0] / 2, VIEWPORT_PX[1] / 2)
-
-
-def label_box_in_view(pose: ViewportPose, poi: Poi, base_ppm: float) -> Optional[Box]:
-    """The poi's label box in viewport pixels, or None when fully off-screen.
-
-    The box keeps its pixel size at every zoom; its bottom-midpoint sits at
-    the projected anchor.  Touching the viewport border counts as visible.
+    The viewport is centered on (cx, cy) and rotated by alpha, the angle
+    clockwise from north of the driving direction, so that the driving
+    direction points up; (sin_a, cos_a) is the unit heading.  ``ppm`` is
+    pixels per meter.
     """
-    ppm = base_ppm * pose.zoom
-    rx = poi.x - pose.center[0]
-    ry = poi.y - pose.center[1]
-    sin_a, cos_a = math.sin(pose.alpha), math.cos(pose.alpha)
-    xv = (rx * cos_a - ry * sin_a) * ppm
-    yv = (rx * sin_a + ry * cos_a) * ppm
-    box = Box(xv - poi.w_px / 2, yv, xv + poi.w_px / 2, yv + poi.h_px)
-    if box.intersects(_viewport_box()):
-        return box
-    return None
+
+    cx: np.ndarray
+    cy: np.ndarray
+    sin_a: np.ndarray
+    cos_a: np.ndarray
+    ppm: np.ndarray
+
+
+def viewport_poses(trajectory: Trajectory, zoom_plan: ZoomPlan, base_ppm: float, ts) -> Poses:
+    """The viewport pose at each time of the 1-D array ``ts``."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.size and not (ts.min() >= 0 and ts.max() <= trajectory.duration):
+        raise ValueError(f"times outside [0, {trajectory.duration}]")
+    pieces = trajectory.pieces
+    idx = np.searchsorted([p.t0 for p in pieces], ts, side="right") - 1
+    idx = np.clip(idx, 0, len(pieces) - 1)
+    cx, cy, hx, hy = (np.empty_like(ts) for _ in range(4))
+    for k, piece in enumerate(pieces):
+        sel = idx == k
+        if sel.any():
+            s = np.minimum((ts[sel] - piece.t0) * piece.speed, piece.length)
+            cx[sel], cy[sel], hx[sel], hy[sel] = piece.pose(s)
+    return Poses(cx, cy, hx, hy, base_ppm * zoom_plan.z_at(ts))
+
+
+def label_boxes(poses: Poses, x, y, w_px, h_px):
+    """Label boxes (x0, y0, x1, y1) in viewport pixels, origin at the center.
+
+    A box keeps its pixel size at every zoom; its bottom midpoint sits at the
+    projected anchor (x, y).  The arguments broadcast against the poses.
+    """
+    rx = x - poses.cx
+    ry = y - poses.cy
+    xv = (rx * poses.cos_a - ry * poses.sin_a) * poses.ppm
+    yv = (rx * poses.sin_a + ry * poses.cos_a) * poses.ppm
+    return xv - w_px / 2, yv, xv + w_px / 2, yv + h_px
+
+
+_VIEWPORT_BOX = (-VIEWPORT_PX[0] / 2, -VIEWPORT_PX[1] / 2, VIEWPORT_PX[0] / 2, VIEWPORT_PX[1] / 2)
+
+
+def _intersects(a, b):
+    return (a[0] <= b[2]) & (b[0] <= a[2]) & (a[1] <= b[3]) & (b[1] <= a[3])
+
+
+def in_view(box):
+    """The box intersects the viewport; touching its border counts."""
+    return _intersects(box, _VIEWPORT_BOX)
+
+
+def overlap(a, b):
+    """Both boxes are in view and intersect each other."""
+    return in_view(a) & in_view(b) & _intersects(a, b)
 
 
 # ---------------------------------------------------------------------------
 # Event extraction
 
 
-def _refine(predicate, lo: float, hi: float, eps: float) -> float:
-    """Bisect the switching point of a boolean predicate inside (lo, hi].
-
-    ``predicate(lo) != predicate(hi)`` is assumed; the returned time is
-    within eps of the true switch.
-    """
-    want = predicate(hi)
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid) == want:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _intervals_from_samples(
+def _signal_intervals(
     states: np.ndarray, ts: np.ndarray, predicate, eps: float, min_len: float
-) -> List[TimeInterval]:
-    """Maximal true-ranges of a sampled boolean signal, boundaries bisected."""
-    out: List[TimeInterval] = []
-    flips = np.flatnonzero(states[1:] != states[:-1])
-    boundaries = [_refine(predicate, float(ts[i]), float(ts[i + 1]), eps) for i in flips]
-    edges = [float(ts[0])] + boundaries + [float(ts[-1])]
-    state = bool(states[0])
-    for lo, hi in zip(edges, edges[1:]):
-        if state and hi - lo >= min_len:
-            out.append(TimeInterval(lo, hi))
-        state = not state
-    return out
+) -> List[List[TimeInterval]]:
+    """Maximal true-ranges of boolean signals sampled at ``ts``, one per row.
 
+    Every flip between two samples is bisected, all flips in one batch:
+    ``predicate(rows, times)`` evaluates the signals ``rows`` at ``times``.
+    Each flip keeps halving its bracket (lo, hi] while hi - lo > eps, and
+    its boundary is the final hi, within eps of the true switch.
+    """
+    rows, cols = np.nonzero(states[:, 1:] != states[:, :-1])
+    lo, hi = ts[cols], ts[cols + 1]
+    want = states[rows, cols + 1]
+    live = np.flatnonzero(hi - lo > eps)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        same = predicate(rows[live], mid) == want[live]
+        hi[live[same]] = mid[same]
+        lo[live[~same]] = mid[~same]
+        live = live[hi[live] - lo[live] > eps]
 
-class _SampledPath:
-    """Vectorized viewport poses on the sampling grid plus scalar lookups."""
-
-    def __init__(self, scenario: Scenario, trajectory: Trajectory, plan: ZoomPlan):
-        self.scenario = scenario
-        self.trajectory = trajectory
-        self.plan = plan
-        dt = scenario.dt
-        n = max(int(math.ceil(trajectory.duration / dt)), 1)
-        ts = np.minimum(np.arange(n + 1) * dt, trajectory.duration)
-        self.ts = ts
-        cx = np.empty_like(ts)
-        cy = np.empty_like(ts)
-        hx = np.empty_like(ts)
-        hy = np.empty_like(ts)
-        starts = [p.t0 for p in trajectory.pieces]
-        idx = np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, len(starts) - 1)
-        for k, piece in enumerate(trajectory.pieces):
-            sel = idx == k
-            if not np.any(sel):
-                continue
-            s = np.minimum((ts[sel] - piece.t0) * piece.speed, piece.length)
-            if piece.is_arc:
-                ang = piece.a0 + piece.side * s / piece.radius
-                cx[sel] = piece.center[0] + piece.radius * np.cos(ang)
-                cy[sel] = piece.center[1] + piece.radius * np.sin(ang)
-                hx[sel] = -piece.side * np.sin(ang)
-                hy[sel] = piece.side * np.cos(ang)
-            else:
-                cx[sel] = piece.p0[0] + piece.direction[0] * s
-                cy[sel] = piece.p0[1] + piece.direction[1] * s
-                hx[sel] = piece.direction[0]
-                hy[sel] = piece.direction[1]
-        self.cx, self.cy = cx, cy
-        # alpha clockwise from north; rotation into view coordinates uses
-        # sin(alpha) = hx, cos(alpha) = hy directly
-        self.sin_a, self.cos_a = hx, hy
-        self.ppm = scenario.base_ppm * plan.z_at(ts)
-
-    def view_xy(self, poi: Poi) -> Tuple[np.ndarray, np.ndarray]:
-        rx = poi.x - self.cx
-        ry = poi.y - self.cy
-        xv = (rx * self.cos_a - ry * self.sin_a) * self.ppm
-        yv = (rx * self.sin_a + ry * self.cos_a) * self.ppm
-        return xv, yv
-
-    @staticmethod
-    def _visible_xy(xv, yv, poi: Poi):
-        half_w, half_h = VIEWPORT_PX[0] / 2, VIEWPORT_PX[1] / 2
-        return (
-            (xv + poi.w_px / 2 >= -half_w)
-            & (xv - poi.w_px / 2 <= half_w)
-            & (yv + poi.h_px >= -half_h)
-            & (yv <= half_h)
+    cuts = np.searchsorted(rows, np.arange(len(states) + 1))
+    start, end = float(ts[0]), float(ts[-1])
+    out = []
+    for r in range(len(states)):
+        edges = [start, *hi[cuts[r] : cuts[r + 1]].tolist(), end]
+        edges = edges[0 if states[r, 0] else 1 :]
+        out.append(
+            [TimeInterval(a, b) for a, b in zip(edges[::2], edges[1::2]) if b - a >= min_len]
         )
-
-    def visible_scalar(self, poi: Poi, t: float) -> bool:
-        pose = pose_at(self.trajectory, self.plan, t)
-        return label_box_in_view(pose, poi, self.scenario.base_ppm) is not None
-
-    def conflict_scalar(self, a: Poi, b: Poi, t: float) -> bool:
-        pose = pose_at(self.trajectory, self.plan, t)
-        box_a = label_box_in_view(pose, a, self.scenario.base_ppm)
-        box_b = label_box_in_view(pose, b, self.scenario.base_ppm)
-        return box_a is not None and box_b is not None and box_a.intersects(box_b)
+    return out
 
 
 def extract_instance(scenario: Scenario) -> Instance:
     """Presence/conflict extraction over the whole trajectory duration."""
     trajectory = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
     plan = build_zoom_plan(scenario, trajectory)
-    path = _SampledPath(scenario, trajectory, plan)
     eps = scenario.eps
     min_len = 2 * eps
+    n = max(int(math.ceil(trajectory.duration / scenario.dt)), 1)
+    ts = np.minimum(np.arange(n + 1) * scenario.dt, trajectory.duration)
 
-    label_ids = [f"p{i:03d}" for i in range(len(scenario.pois))]
-    presences: Dict[str, List[TimeInterval]] = {}
-    view_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for i, poi in enumerate(scenario.pois):
-        xv, yv = path.view_xy(poi)
-        vis = path._visible_xy(xv, yv, poi)
-        view_cache[i] = (xv, yv, vis)
-        intervals = _intervals_from_samples(
-            vis, path.ts, lambda t, p=poi: path.visible_scalar(p, t), eps, min_len
-        )
-        if intervals:
-            presences[label_ids[i]] = intervals
+    pois = scenario.pois
+    x, y, w, h = (
+        np.array([getattr(p, f) for p in pois], dtype=float) for f in ("x", "y", "w_px", "h_px")
+    )
+
+    def pose(t):
+        return viewport_poses(trajectory, plan, scenario.base_ppm, t)
+
+    def boxes(k, poses):
+        return label_boxes(poses, x[k], y[k], w[k], h[k])
+
+    grid = boxes(np.s_[:, None], pose(ts))  # one row per poi, one column per sample
+    label_ids = [f"p{i:03d}" for i in range(len(pois))]
+    shown = _signal_intervals(
+        in_view(grid), ts, lambda k, t: in_view(boxes(k, pose(t))), eps, min_len
+    )
+    presences = {label_ids[i]: ivs for i, ivs in enumerate(shown) if ivs}
 
     # pair prefilter: anchors close enough that the boxes could ever touch,
     # measured at the smallest pixels-per-meter factor (widest view)
     min_ppm = scenario.base_ppm * min(plan.zooms)
-    conflicts: List[ConflictEntry] = []
-    present = [i for i in range(len(scenario.pois)) if label_ids[i] in presences]
-    for ai in range(len(present)):
-        i = present[ai]
-        poi_i = scenario.pois[i]
+    present = [i for i in range(len(pois)) if label_ids[i] in presences]
+    row_boxes = list(zip(*grid))
+    pairs, overlaps = [], []
+    for ai, i in enumerate(present):
         for j in present[ai + 1 :]:
-            poi_j = scenario.pois[j]
-            reach = (poi_i.diag_px + poi_j.diag_px) / min_ppm
-            if math.hypot(poi_i.x - poi_j.x, poi_i.y - poi_j.y) > reach:
+            reach = (pois[i].diag_px + pois[j].diag_px) / min_ppm
+            if math.hypot(pois[i].x - pois[j].x, pois[i].y - pois[j].y) > reach:
                 continue
-            xi, yi, vis_i = view_cache[i]
-            xj, yj, vis_j = view_cache[j]
-            overlap = (
-                vis_i
-                & vis_j
-                & (np.abs(xi - xj) <= (poi_i.w_px + poi_j.w_px) / 2)
-                & (yi <= yj + poi_j.h_px)
-                & (yj <= yi + poi_i.h_px)
-            )
-            raw = _intervals_from_samples(
-                overlap,
-                path.ts,
-                lambda t, a=poi_i, b=poi_j: path.conflict_scalar(a, b, t),
-                eps,
-                min_len,
-            )
-            clipped = _clip_to_presences(
-                raw, presences[label_ids[i]], presences[label_ids[j]], min_len
-            )
-            conflicts.extend(
-                ConflictEntry(label_ids[i], label_ids[j], iv) for iv in clipped
-            )
+            signal = overlap(row_boxes[i], row_boxes[j])
+            if signal.any():
+                pairs.append((i, j))
+                overlaps.append(signal)
+    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+
+    def overlapping(k, t):
+        poses = pose(t)
+        return overlap(boxes(first[k], poses), boxes(second[k], poses))
+
+    conflicts: List[ConflictEntry] = []
+    raw = _signal_intervals(
+        np.array(overlaps, dtype=bool).reshape(-1, ts.size), ts, overlapping, eps, min_len
+    )
+    for (i, j), intervals in zip(pairs, raw):
+        clipped = _clip_to_presences(
+            intervals, presences[label_ids[i]], presences[label_ids[j]], min_len
+        )
+        conflicts.extend(ConflictEntry(label_ids[i], label_ids[j], iv) for iv in clipped)
 
     labels = {
-        label_ids[i]: Label(
-            id=label_ids[i], weight=scenario.pois[i].weight, display_name=scenario.pois[i].name
-        )
-        for i in range(len(scenario.pois))
-        if label_ids[i] in presences
+        label_ids[i]: Label(id=label_ids[i], weight=pois[i].weight, display_name=pois[i].name)
+        for i in present
     }
     return Instance(
         horizon=trajectory.duration,

@@ -1040,22 +1040,21 @@ class _IgVertex:
 def _conflict_blocks(
     instance: Instance,
     vertex: _IgVertex,
-    chosen: List[Tuple[str, TimeInterval]],
+    chosen_by_label: Dict[str, List[TimeInterval]],
 ) -> List[Tuple[float, float]]:
     """Time windows the vertex interval's interior must avoid.
 
     One window per (chosen activity, conflict interval) pair whose open
-    overlap with the vertex could be in conflict.
+    overlap with the vertex could be in conflict; ``chosen_by_label`` maps a
+    label id to its chosen activities.
     """
     blocks = []
-    for other_id, chosen_iv in chosen:
-        if other_id == vertex.label_id:
-            continue
-        for conflict in instance.conflicts_between(vertex.label_id, other_id):
-            lo = max(chosen_iv.start, conflict.start)
-            hi = min(chosen_iv.end, conflict.end)
+    for other_id, conflict in instance.conflicts_of(vertex.label_id):
+        for chosen_iv in chosen_by_label.get(other_id, ()):
             if conflict.start < chosen_iv.end and conflict.end > chosen_iv.start:
-                blocks.append((lo, hi))
+                blocks.append(
+                    (max(chosen_iv.start, conflict.start), min(chosen_iv.end, conflict.end))
+                )
     return blocks
 
 
@@ -1078,7 +1077,7 @@ def _justified_cut_points(
 def _shorten(
     instance: Instance,
     vertex: _IgVertex,
-    iteration_chosen: List[Tuple[str, TimeInterval]],
+    iteration_chosen: Dict[str, List[TimeInterval]],
     all_chosen: List[Tuple[str, TimeInterval]],
     mode: AmMode,
 ) -> Optional[_IgVertex]:
@@ -1175,12 +1174,12 @@ def solve_intgraph(
             for v in vertices
         ]
         picked = set(mwis_intervals(weights))
-        iteration_chosen = []
+        iteration_chosen: Dict[str, List[TimeInterval]] = {}
         for i in picked:
             v = vertices[i]
             phi_raw.setdefault(v.label_id, []).append(v.interval)
-            iteration_chosen.append((v.label_id, v.interval))
-        all_chosen.extend(iteration_chosen)
+            iteration_chosen.setdefault(v.label_id, []).append(v.interval)
+            all_chosen.append((v.label_id, v.interval))
 
         remaining = []
         for i, v in enumerate(vertices):

@@ -12,6 +12,7 @@ import random
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from chronolabel.conflict_graph import build_graph
@@ -19,9 +20,9 @@ from chronolabel.model import TimeInterval, complexity
 from chronolabel.scenario import (
     build_zoom_plan,
     extract_instance,
-    pose_at,
     smooth_route,
     synthesize_scenario,
+    viewport_poses,
 )
 from chronolabel.solvers import (
     GMT,
@@ -292,24 +293,27 @@ def test_criterion_8_runtime_sanity(nav_heuristic_runs):
 
 
 def test_criterion_9_scenario_geometry():
-    def heading_angle(h):
-        return math.atan2(h[0], h[1])
-
     for seed in range(20):
         scenario = synthesize_scenario(seed, n_edges=8, n_pois=20, corridor=350.0)
         trajectory = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
-        # C1 joints
+        # C1 joints: position and heading continue across every joint
         for prev, nxt in zip(trajectory.pieces, trajectory.pieces[1:]):
-            a = heading_angle(prev.heading(prev.length))
-            b = heading_angle(nxt.heading(0.0))
-            assert abs(math.remainder(a - b, 2 * math.pi)) < 1e-6, seed
+            tail = np.broadcast_arrays(*prev.pose(np.array([prev.length])))
+            head = np.broadcast_arrays(*nxt.pose(np.array([0.0])))
+            x0, y0, hx0, hy0 = (float(v[0]) for v in tail)
+            x1, y1, hx1, hy1 = (float(v[0]) for v in head)
+            assert math.hypot(x1 - x0, y1 - y0) < 1e-6, seed
+            turn = math.atan2(hx0, hy0) - math.atan2(hx1, hy1)
+            assert abs(math.remainder(turn, 2 * math.pi)) < 1e-6, seed
         # zoom ramps: no rotation, straight piece
         plan = build_zoom_plan(scenario, trajectory)
         for start, end in plan.ramps:
-            ts = [start + (end - start) * i / 20 for i in range(21)]
-            alphas = [pose_at(trajectory, plan, t).alpha for t in ts]
-            assert max(alphas) - min(alphas) < 1e-9, seed
-            assert all(not trajectory._piece(t).is_arc for t in ts), seed
+            poses = viewport_poses(trajectory, plan, scenario.base_ppm, np.linspace(start, end, 21))
+            alphas = np.arctan2(poses.sin_a, poses.cos_a)
+            assert alphas.max() - alphas.min() < 1e-9, seed
+            assert any(
+                not p.is_arc and p.t0 <= start and end <= p.t1 for p in trajectory.pieces
+            ), seed
         # refinement stability: a 10x finer bisection tolerance moves no
         # interval endpoint by more than the coarse tolerance
         from dataclasses import replace

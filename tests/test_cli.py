@@ -11,13 +11,21 @@ from chronolabel.cli import (
     main,
 )
 from chronolabel.model import complexity, dump_instance, load_instance
+from chronolabel.scenario import dump_scenario, synthesize_scenario
 from chronolabel.solvers import SolveResult, Status
 from chronolabel.validation import AmMode
 from chronolabel.model import make_activity_set, TimeInterval
 
 from conftest import build_i1, random_instance
 
-DEMO_GOLDEN_COMPLEXITY = 139  # pinned from one run of the bundled demo scenario
+# complexity of the generated instance, without --min-activity and with its
+# default of 1.0 s, pinned from one run each: the bundled demo, the reference
+# scenario of perfbench and a 200-poi drive
+GOLDEN_COMPLEXITY = [
+    pytest.param(None, 173, 139, id="demo"),
+    pytest.param(dict(seed=21), 335, 328, id="scenario-21"),
+    pytest.param(dict(seed=11, n_edges=30, n_pois=200), 913, 827, id="drive-200-pois"),
+]
 
 
 @pytest.fixture
@@ -38,12 +46,18 @@ class TestGenerate:
         assert main(["generate", "--demo", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_demo_golden_complexity(self, tmp_path):
-        out = tmp_path / "demo.json"
-        assert main(["generate", "--demo", "--out", str(out)]) == 0
-        instance = load_instance(out.read_text())
-        assert complexity(instance) == DEMO_GOLDEN_COMPLEXITY
-        assert 50 <= complexity(instance) <= 5000
+    @pytest.mark.parametrize("synth, raw, pruned", GOLDEN_COMPLEXITY)
+    def test_golden_complexity(self, tmp_path, synth, raw, pruned):
+        if synth is None:
+            source = ["--demo"]
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(dump_scenario(synthesize_scenario(**synth)))
+            source = [str(path)]
+        out = tmp_path / "instance.json"
+        for extra, expected in ((["--min-activity", "0"], raw), ([], pruned)):
+            assert main(["generate", *source, *extra, "--out", str(out)]) == 0
+            assert complexity(load_instance(out.read_text())) == expected
 
     def test_zero_poi_scenario_gives_empty_instance(self, tmp_path):
         scenario = tmp_path / "s.json"

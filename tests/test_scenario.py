@@ -1,22 +1,25 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from chronolabel.model import IntegrityError, ParseError
 from chronolabel.scenario import (
     Poi,
+    Poses,
     Scenario,
-    ViewportPose,
     build_zoom_plan,
     dump_scenario,
     extract_instance,
-    label_box_in_view,
+    in_view,
+    label_boxes,
     load_scenario,
+    overlap,
     pixels_per_meter,
-    pose_at,
     smooth_route,
     synthesize_scenario,
+    viewport_poses,
 )
 from dataclasses import replace
 
@@ -34,8 +37,18 @@ def small_scenario(seed: int) -> Scenario:
     return synthesize_scenario(seed, n_edges=6, n_pois=12, corridor=300.0)
 
 
-def heading_angle(h) -> float:
-    return math.atan2(h[0], h[1])
+def piece_pose(piece, s: float):
+    """(x, y, heading x, heading y) of a trajectory piece at arc length s."""
+    return tuple(float(v[0]) for v in np.broadcast_arrays(*piece.pose(np.array([s]))))
+
+
+def alphas(traj, plan, ts) -> np.ndarray:
+    poses = viewport_poses(traj, plan, 1.0, ts)
+    return np.arctan2(poses.sin_a, poses.cos_a)
+
+
+def single_pose(cx: float, cy: float, alpha: float, ppm: float) -> Poses:
+    return Poses(*(np.array([v]) for v in (cx, cy, math.sin(alpha), math.cos(alpha), ppm)))
 
 
 class TestSmoothRoute:
@@ -76,10 +89,11 @@ class TestSmoothRoute:
             scenario = small_scenario(seed)
             traj = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
             for prev, nxt in zip(traj.pieces, traj.pieces[1:]):
-                a = heading_angle(prev.heading(prev.length))
-                b = heading_angle(nxt.heading(0.0))
-                jump = abs(math.remainder(a - b, 2 * math.pi))
-                assert jump < 1e-6
+                x0, y0, hx0, hy0 = piece_pose(prev, prev.length)
+                x1, y1, hx1, hy1 = piece_pose(nxt, 0.0)
+                assert math.hypot(x1 - x0, y1 - y0) < 1e-6
+                jump = math.remainder(math.atan2(hx0, hy0) - math.atan2(hx1, hy1), 2 * math.pi)
+                assert abs(jump) < 1e-6
 
 
 class TestZoomAndPose:
@@ -87,7 +101,7 @@ class TestZoomAndPose:
         scenario = Scenario(route=((0.0, 0.0), (0.0, 1000.0)), speeds=(10.0,), pois=())
         traj = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
         plan = build_zoom_plan(scenario, traj)
-        assert pose_at(traj, plan, 0.0).alpha == pytest.approx(0.0)
+        assert alphas(traj, plan, [0.0, traj.duration / 2]) == pytest.approx([0.0, 0.0])
 
     def test_zoom_ramp_midpoint_interpolates(self):
         scenario = Scenario(
@@ -112,41 +126,53 @@ class TestZoomAndPose:
             for start, end in plan.ramps:
                 n = 20
                 ts = [start + (end - start) * i / n for i in range(n + 1)]
-                alphas = [pose_at(traj, plan, t).alpha for t in ts]
-                assert max(alphas) - min(alphas) < 1e-9
+                ramp_alphas = alphas(traj, plan, ts)
+                assert ramp_alphas.max() - ramp_alphas.min() < 1e-9
                 # the ramp lies on a straight piece
-                assert all(not traj._piece(t).is_arc for t in ts)
+                assert any(
+                    not p.is_arc and p.t0 <= start and end <= p.t1 for p in traj.pieces
+                )
 
     def test_pose_out_of_range(self):
         scenario = Scenario(route=((0.0, 0.0), (0.0, 100.0)), speeds=(10.0,), pois=())
         traj = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
         plan = build_zoom_plan(scenario, traj)
-        with pytest.raises(ValueError):
-            pose_at(traj, plan, traj.duration + 1.0)
+        viewport_poses(traj, plan, 1.0, [0.0, traj.duration])
+        for t in (-1.0, traj.duration + 1.0, math.nan):
+            with pytest.raises(ValueError):
+                viewport_poses(traj, plan, 1.0, [5.0, t])
 
 
 class TestLabelBox:
     def test_anchor_at_center_bottom_midpoint(self):
-        poi = Poi(x=10.0, y=20.0, w_px=100.0, h_px=20.0)
-        pose = ViewportPose(center=(10.0, 20.0), alpha=1.2345, zoom=1.0)
-        box = label_box_in_view(pose, poi, base_ppm=1.0)
-        assert box is not None
-        assert (box.x0, box.y0, box.x1, box.y1) == pytest.approx((-50.0, 0.0, 50.0, 20.0))
+        box = label_boxes(single_pose(10.0, 20.0, 1.2345, 1.0), 10.0, 20.0, 100.0, 20.0)
+        assert in_view(box).all()
+        assert [float(v[0]) for v in box] == pytest.approx([-50.0, 0.0, 50.0, 20.0])
 
     def test_far_anchor_absent(self):
-        poi = Poi(x=1e6, y=1e6, w_px=100.0, h_px=20.0)
-        pose = ViewportPose(center=(0.0, 0.0), alpha=0.0, zoom=1.0)
-        assert label_box_in_view(pose, poi, base_ppm=1.0) is None
+        box = label_boxes(single_pose(0.0, 0.0, 0.0, 1.0), 1e6, 1e6, 100.0, 20.0)
+        assert not in_view(box).any()
+
+    def test_box_touching_viewport_border_is_in_view(self):
+        # 450 px east: the 100 px box's left edge sits on the right border
+        pose = single_pose(0.0, 0.0, 0.0, 1.0)
+        assert in_view(label_boxes(pose, 450.0, 0.0, 100.0, 20.0)).all()
+        assert not in_view(label_boxes(pose, 450.5, 0.0, 100.0, 20.0)).any()
 
     def test_close_pois_overlap_at_high_zoom(self):
-        ppm = 20.0  # 5 m apart -> 100 px apart; 100 px boxes overlap
-        a = Poi(x=0.0, y=0.0, w_px=100.0, h_px=20.0)
-        b = Poi(x=5.0, y=0.0, w_px=100.0, h_px=20.0)
-        pose = ViewportPose(center=(2.5, 0.0), alpha=0.0, zoom=1.0)
-        box_a = label_box_in_view(pose, a, base_ppm=ppm)
-        box_b = label_box_in_view(pose, b, base_ppm=ppm)
-        assert box_a is not None and box_b is not None
-        assert box_a.intersects(box_b)
+        # 5 m apart at 20 px/m -> 100 px apart; 100 px boxes overlap
+        pose = single_pose(2.5, 0.0, 0.0, 20.0)
+        box_a = label_boxes(pose, 0.0, 0.0, 100.0, 20.0)
+        box_b = label_boxes(pose, 5.0, 0.0, 100.0, 20.0)
+        assert overlap(box_a, box_b).all()
+        # 6 m apart -> 120 px: the boxes no longer touch
+        assert not overlap(box_a, label_boxes(pose, 6.0, 0.0, 100.0, 20.0)).any()
+
+    def test_overlap_needs_both_boxes_in_view(self):
+        # two colocated boxes far off-screen intersect each other but do not conflict
+        pose = single_pose(0.0, 0.0, 0.0, 1.0)
+        box = label_boxes(pose, 1e6, 0.0, 100.0, 20.0)
+        assert not overlap(box, box).any()
 
 
 class TestExtractInstance:
@@ -191,6 +217,28 @@ class TestExtractInstance:
                 for iv_a, iv_b in zip(a, b):
                     assert abs(iv_a.start - iv_b.start) < scenario.eps
                     assert abs(iv_a.end - iv_b.end) < scenario.eps
+
+    def test_presence_boundaries_bracket_a_flip(self):
+        # each refined boundary inside (0, duration) is a switch of its own
+        # poi's visibility: shown from a start on, hidden from an end on,
+        # with the opposite reading eps earlier
+        for seed in range(5):
+            scenario = small_scenario(seed)
+            traj = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
+            plan = build_zoom_plan(scenario, traj)
+            checked = 0
+            for lid, intervals in extract_instance(scenario).presences.items():
+                poi = scenario.pois[int(lid[1:])]
+                for iv in intervals:
+                    for b, shown in ((iv.start, True), (iv.end, False)):
+                        if not 0 < b < traj.duration:
+                            continue
+                        ts = [max(b - scenario.eps, 0.0), b]
+                        poses = viewport_poses(traj, plan, scenario.base_ppm, ts)
+                        seen = in_view(label_boxes(poses, poi.x, poi.y, poi.w_px, poi.h_px))
+                        assert seen.tolist() == [not shown, shown], (seed, lid, b)
+                        checked += 1
+            assert checked > 0, seed
 
     def test_instance_invariants_hold(self):
         # Instance's constructor enforces disjoint presences and conflicts
