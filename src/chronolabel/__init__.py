@@ -16,7 +16,14 @@ from .model import (
     make_activity_set,
     objective,
 )
-from .validation import AmMode, ValidationReport, check_model, check_valid, is_justified, saturate
+from .validation import (
+    AmMode,
+    ValidationReport,
+    check_model,
+    check_valid,
+    is_justified,
+    saturate_excluding,
+)
 from .conflict_graph import (
     Candidate,
     ConflictGraph,

@@ -114,6 +114,7 @@ class Instance:
                     )
             _check_disjoint_sorted(intervals, f"presences of {lid!r}")
         per_pair: dict = {}
+        per_label: dict = {}
         for entry in self.conflicts:
             for lid in entry.pair:
                 if lid not in self.labels:
@@ -125,26 +126,25 @@ class Instance:
                         f"{entry.interval.end}] not inside a presence of {lid!r}"
                     )
             per_pair.setdefault(entry.pair, []).append(entry.interval)
+            per_label.setdefault(entry.a, []).append((entry.b, entry.interval))
+            per_label.setdefault(entry.b, []).append((entry.a, entry.interval))
         for pair, ivs in per_pair.items():
             _check_disjoint_sorted(sorted(ivs), f"conflicts of pair {pair}")
+        # The conflict index, in ``conflicts`` order; not a field, so equality
+        # and repr are those of the fields alone.
+        object.__setattr__(self, "_by_pair", {k: tuple(v) for k, v in per_pair.items()})
+        object.__setattr__(self, "_by_label", {k: tuple(v) for k, v in per_label.items()})
 
     def presences_of(self, label_id: str) -> tuple:
         return self.presences.get(label_id, ())
 
-    def conflicts_between(self, a: str, b: str) -> list:
-        if a > b:
-            a, b = b, a
-        return [e.interval for e in self.conflicts if e.a == a and e.b == b]
+    def conflicts_between(self, a: str, b: str) -> tuple:
+        """Conflict intervals of the pair, in ``conflicts`` order."""
+        return self._by_pair.get((a, b) if a < b else (b, a), ())
 
-    def conflicts_of(self, label_id: str) -> list:
+    def conflicts_of(self, label_id: str) -> tuple:
         """(other label id, interval) pairs for all conflicts involving the label."""
-        out = []
-        for e in self.conflicts:
-            if e.a == label_id:
-                out.append((e.b, e.interval))
-            elif e.b == label_id:
-                out.append((e.a, e.interval))
-        return out
+        return self._by_label.get(label_id, ())
 
 
 @dataclass(frozen=True)

@@ -427,9 +427,10 @@ def extract_instance(scenario: Scenario) -> Instance:
         return label_boxes(poses, x[k], y[k], w[k], h[k])
 
     grid = boxes(np.s_[:, None], pose(ts))  # one row per poi, one column per sample
+    visible = in_view(grid)
     label_ids = [f"p{i:03d}" for i in range(len(pois))]
     shown = _signal_intervals(
-        in_view(grid), ts, lambda k, t: in_view(boxes(k, pose(t))), eps, min_len
+        visible, ts, lambda k, t: in_view(boxes(k, pose(t))), eps, min_len
     )
     presences = {label_ids[i]: ivs for i, ivs in enumerate(shown) if ivs}
 
@@ -444,7 +445,7 @@ def extract_instance(scenario: Scenario) -> Instance:
             reach = (pois[i].diag_px + pois[j].diag_px) / min_ppm
             if math.hypot(pois[i].x - pois[j].x, pois[i].y - pois[j].y) > reach:
                 continue
-            signal = overlap(row_boxes[i], row_boxes[j])
+            signal = visible[i] & visible[j] & _intersects(row_boxes[i], row_boxes[j])
             if signal.any():
                 pairs.append((i, j))
                 overlaps.append(signal)

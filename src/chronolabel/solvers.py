@@ -166,9 +166,10 @@ class _Coverage:
 # A saturated independent set is *not* always model-valid: a candidate may
 # start at a conflict end whose witness already turned inactive, while every
 # longer cluster-mate collides with the selection.  Heuristic selections are
-# therefore post-processed: unjustified candidates are banned and dropped
-# (one per round, lightest first) and the rest is re-saturated, ignoring the
-# banned candidates, until the activity set passes the model check.
+# therefore post-processed: unjustified candidates are dropped (one per
+# round, lightest first) and the rest is re-saturated until the activity set
+# passes the model check.  Saturation only swaps within occupied clusters, so
+# a dropped candidate's cluster stays empty and the candidate never returns.
 
 
 def _unjustified_candidates(
@@ -191,18 +192,15 @@ def repair_selection(
     instance: Instance, graph: ConflictGraph, selection: set, mode: AmMode
 ) -> set:
     """Saturate, then drop unjustified candidates until the set is model-valid."""
-    banned: set = set()
     selected = set(selection)
     while True:
-        selected = saturate_excluding(instance, graph, selected, banned)
+        selected = saturate_excluding(instance, graph, selected)
         if mode is AmMode.AM1:
             return selected
         bad = _unjustified_candidates(instance, graph, selected, mode)
         if not bad:
             return selected
-        drop = min(bad, key=lambda v: (graph.weight(v), v))
-        banned.add(drop)
-        selected.discard(drop)
+        selected.discard(min(bad, key=lambda v: (graph.weight(v), v)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +236,6 @@ def _witness_requirements(
     """
     if mode is AmMode.AM1:
         return {v: [] for v in part}, set(part)
-    # conflict endpoint lookup: label -> endpoint time -> partner labels
-    ends_at: Dict[str, Dict[float, List[str]]] = {}
-    starts_at: Dict[str, Dict[float, List[str]]] = {}
-    for entry in instance.conflicts:
-        for lid, other in ((entry.a, entry.b), (entry.b, entry.a)):
-            ends_at.setdefault(lid, {}).setdefault(entry.interval.end, []).append(other)
-            starts_at.setdefault(lid, {}).setdefault(entry.interval.start, []).append(other)
 
     alive = set(part)
     while True:
@@ -270,18 +261,16 @@ def _witness_requirements(
             presence = instance.presences_of(c.label_id)[c.presence_index]
             reqs = []
             usable = True
-            if mode is AmMode.AM3 and c.interval.start != presence.start:
-                wit = witnesses(
-                    v, ends_at.get(c.label_id, {}).get(c.interval.start, []), c.interval.start
-                )
+            conflicts = instance.conflicts_of(c.label_id)
+            start, end = c.interval.start, c.interval.end
+            if mode is AmMode.AM3 and start != presence.start:
+                wit = witnesses(v, [other for other, iv in conflicts if iv.end == start], start)
                 if wit:
                     reqs.append(wit)
                 else:
                     usable = False
-            if usable and c.interval.end != presence.end:
-                wit = witnesses(
-                    v, starts_at.get(c.label_id, {}).get(c.interval.end, []), c.interval.end
-                )
+            if usable and end != presence.end:
+                wit = witnesses(v, [other for other, iv in conflicts if iv.start == end], end)
                 if wit:
                     reqs.append(wit)
                 else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .model import ActivitySet, Instance, IntegrityError, TimeInterval
 
@@ -196,25 +196,20 @@ def check_model(
     return ValidationReport(tuple(violations))
 
 
-def saturate(instance, graph, selection: Sequence[int]) -> set:
+def saturate_excluding(instance, graph, selection: set) -> set:
     """Repair an independent set of a conflict graph until it is saturated.
 
     Repeatedly performs the same-cluster swap with the largest weight gain
     (ties: smallest incoming candidate id) until no swap strictly improves
     the total weight.  Never adds or removes vertices, only exchanges within
-    clusters, so the output weight is >= the input weight.
+    clusters, so the output weight is >= the input weight, and a cluster
+    with no selected candidate stays empty.
     """
     selected = set(selection)
     for v in selected:
-        for u in selected:
-            if u != v and graph.adjacent(u, v):
-                raise IntegrityError(f"selection is not independent: {u} ~ {v}")
-    return saturate_excluding(instance, graph, selected, frozenset())
-
-
-def saturate_excluding(instance, graph, selection: set, banned) -> set:
-    """Saturation loop that never swaps a banned candidate in."""
-    selected = set(selection)
+        clash = graph._adj_sets[v] & selected
+        if clash:
+            raise IntegrityError(f"selection is not independent: {min(clash)} ~ {v}")
     while True:
         best = None  # (gain, incoming id, outgoing id)
         for v in selected:
@@ -225,8 +220,8 @@ def saturate_excluding(instance, graph, selection: set, banned) -> set:
                 gain = graph.candidates[u].weight - cand_v.weight
                 if gain <= 0:
                     continue
-                others = selected - {v}
-                if any(graph.adjacent(u, w) for w in others):
+                # u is a cluster-mate of v, so v is among its selected neighbours
+                if not graph._adj_sets[u] & selected <= {v}:
                     continue
                 key = (-gain, u)
                 if best is None or key < (-best[0], best[1]):

@@ -35,7 +35,7 @@ from chronolabel.solvers import (
     solve_intgraph,
     solve_pls,
 )
-from chronolabel.validation import AmMode, check_model, saturate
+from chronolabel.validation import AmMode, check_model, saturate_excluding
 
 from conftest import NAV_COMPLEXITY, navigation_corpus, random_instance
 from oracle import brute_force_mwis, enumerate_optima
@@ -223,7 +223,7 @@ def test_criterion_5_saturated_sets_validate(suite1, suite2):
                     for c in graph.candidates
                     if c.interval in greedy.phi.activities.get(c.label_id, ())
                 }
-                saturated = saturate(instance, graph, selection)
+                saturated = saturate_excluding(instance, graph, selection)
                 assert graph.selection_weight(saturated) == graph.selection_weight(selection)
     announce(5, f"{checked} saturated heuristic outputs validate under their AM")
 

@@ -5,7 +5,9 @@ from chronolabel.conflict_graph import (
     build_graph,
     candidate_conflict,
 )
+from chronolabel.cli import apply_min_activity
 from chronolabel.model import make_activity_set
+from chronolabel.scenario import extract_instance, synthesize_scenario
 from chronolabel.validation import AmMode, check_valid
 
 from conftest import random_instance
@@ -98,6 +100,22 @@ class TestBuildGraph:
                     selection.append(v)
             phi = graph.to_activity_set(selection)
             assert check_valid(instance, phi).valid
+
+
+@pytest.fixture(scope="module")
+def scenario_21():
+    return apply_min_activity(extract_instance(synthesize_scenario(21)), 1.0)
+
+
+@pytest.mark.parametrize(
+    "mode, size",
+    [(AmMode.AM1, (95, 94)), (AmMode.AM2, (507, 14735)), (AmMode.AM3, (3369, 738411))],
+    ids=["am1", "am2", "am3"],
+)
+def test_scenario_21_graph_size(scenario_21, mode, size):
+    # Scenario 21 has the largest AM3 graph of the synthetic drives 0-599.
+    graph = build_graph(scenario_21, mode)
+    assert (len(graph), graph.edge_count) == size
 
 
 class TestCandidateConflict:

@@ -4,7 +4,10 @@ import pytest
 
 from chronolabel.model import (
     ActivitySet,
+    ConflictEntry,
+    Instance,
     IntegrityError,
+    Label,
     ParseError,
     TimeInterval,
     complexity,
@@ -15,7 +18,7 @@ from chronolabel.model import (
     objective,
 )
 
-from conftest import random_instance
+from conftest import navigation_corpus, random_instance
 
 I1_JSON = json.dumps(
     {
@@ -183,3 +186,42 @@ def test_complexity_counts():
 def test_random_instances_satisfy_invariants():
     for seed in range(50):
         random_instance(seed)  # Instance.__post_init__ re-checks everything
+
+
+def _unsorted_conflicts_instance() -> Instance:
+    labels = {lid: Label(lid, 1.0) for lid in ("a", "b", "c")}
+    return Instance(
+        horizon=10.0,
+        labels=labels,
+        presences={lid: (TimeInterval(0.0, 10.0),) for lid in labels},
+        conflicts=(
+            ConflictEntry("b", "c", TimeInterval(5.0, 6.0)),
+            ConflictEntry("a", "b", TimeInterval(7.0, 8.0)),
+            ConflictEntry("c", "a", TimeInterval(3.0, 4.0)),
+            ConflictEntry("a", "b", TimeInterval(1.0, 2.0)),
+        ),
+    )
+
+
+def test_conflict_index_matches_scan():
+    # The index built at construction must answer exactly as a scan over
+    # ``conflicts`` does, in the same order.
+    instances = [_unsorted_conflicts_instance()] + [i for _, i in navigation_corpus(3)]
+    for instance in instances:
+        lids = sorted(instance.labels) + ["unknown"]
+        for lid in lids:
+            scan = [
+                (e.b if e.a == lid else e.a, e.interval)
+                for e in instance.conflicts
+                if lid in (e.a, e.b)
+            ]
+            got = instance.conflicts_of(lid)
+            assert isinstance(got, tuple)
+            assert list(got) == scan, lid
+        for a in lids:
+            for b in lids:
+                lo, hi = min(a, b), max(a, b)
+                scan = [e.interval for e in instance.conflicts if (e.a, e.b) == (lo, hi)]
+                got = instance.conflicts_between(a, b)
+                assert isinstance(got, tuple)
+                assert list(got) == scan, (a, b)

@@ -10,7 +10,7 @@ from chronolabel.validation import (
     check_model,
     check_valid,
     is_justified,
-    saturate,
+    saturate_excluding,
 )
 
 from conftest import random_instance
@@ -169,7 +169,7 @@ class TestSaturate:
             by_interval[("l2", 0.0, 4.0)],
             by_interval[("l3", 2.0, 8.0)],
         }
-        assert saturate(i1, graph, best) == best
+        assert saturate_excluding(i1, graph, best) == best
 
     def test_swap_to_longer_candidate(self, i1):
         graph = build_graph(i1, AmMode.AM2)
@@ -183,7 +183,7 @@ class TestSaturate:
             by_interval[("l3", 2.0, 8.0)],
         }
         # no l2 candidate selected: saturation never adds vertices
-        assert saturate(i1, graph, selection) == selection
+        assert saturate_excluding(i1, graph, selection) == selection
 
     def test_saturate_improves_weight_within_cluster(self, i1):
         graph = build_graph(i1, AmMode.AM3)
@@ -192,18 +192,18 @@ class TestSaturate:
         }
         # l2 active on its suffix only; l1 unselected, so the full l2 candidate fits
         selection = {by_interval[("l2", 6.0, 10.0)]}
-        result = saturate(i1, graph, selection)
+        result = saturate_excluding(i1, graph, selection)
         assert result == {by_interval[("l2", 0.0, 10.0)]}
 
     def test_empty_selection_stays_empty(self, i1):
         graph = build_graph(i1, AmMode.AM2)
-        assert saturate(i1, graph, set()) == set()
+        assert saturate_excluding(i1, graph, set()) == set()
 
     def test_not_independent_rejected(self, i1):
         graph = build_graph(i1, AmMode.AM3)
         cluster = next(m for m in graph.clusters.values() if len(m) >= 2)
         with pytest.raises(IntegrityError):
-            saturate(i1, graph, set(cluster[:2]))
+            saturate_excluding(i1, graph, set(cluster[:2]))
 
     def test_idempotent_in_weight(self):
         for seed in range(30):
@@ -214,8 +214,8 @@ class TestSaturate:
             for v in range(len(graph)):
                 if all(not graph.adjacent(v, u) for u in selection):
                     selection.add(v)
-            once = saturate(instance, graph, selection)
-            twice = saturate(instance, graph, once)
+            once = saturate_excluding(instance, graph, selection)
+            twice = saturate_excluding(instance, graph, once)
             assert graph.selection_weight(once) >= graph.selection_weight(selection)
             assert graph.selection_weight(twice) == graph.selection_weight(once)
 
@@ -229,7 +229,7 @@ class TestSaturate:
             for v in sorted(range(len(graph)), key=lambda v: -graph.weight(v)):
                 if all(not graph.adjacent(v, u) for u in selection):
                     selection.add(v)
-            saturated = saturate(instance, graph, selection)
+            saturated = saturate_excluding(instance, graph, selection)
             phi = graph.to_activity_set(saturated)
             assert check_model(instance, phi, AmMode.AM1).valid, seed
 
@@ -245,7 +245,7 @@ class TestSaturate:
         for v in sorted(range(len(graph)), key=lambda v: -graph.weight(v)):
             if all(not graph.adjacent(v, u) for u in selection):
                 selection.add(v)
-        saturated = saturate(instance, graph, selection)
+        saturated = saturate_excluding(instance, graph, selection)
         phi = graph.to_activity_set(saturated)
         report = check_model(instance, phi, AmMode.AM3)
         assert any(v.rule == "AM-start" for v in report.violations)
