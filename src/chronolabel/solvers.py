@@ -4,7 +4,8 @@ GeneralMaxTotal (GMT) maximizes total weighted activity time; the
 k-restricted variant (KRMT) additionally caps the number of simultaneously
 active labels.  Four approaches are provided:
 
-* ``solve_exact``    branch-and-bound over candidate clusters (optimal)
+* ``solve_exact``    optimal: branch-and-bound over candidate clusters (GMT),
+                     a dynamic program sweeping the endpoint times (KRMT)
 * ``solve_greedy``   repeated max-weight candidate selection
 * ``solve_pls``      phased local search on the candidate graph
 * ``solve_intgraph`` iterated max-weight independent sets on the interval
@@ -19,6 +20,7 @@ import json
 import random
 import sys
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -135,7 +137,6 @@ class _Coverage:
 
     def __init__(self, candidates: Sequence[Candidate], k: int):
         points = sorted({p for c in candidates for p in (c.interval.start, c.interval.end)})
-        self.points = points
         self.k = k
         self.counts = [0] * max(len(points) - 1, 0)
         self._slices = {}
@@ -153,11 +154,6 @@ class _Coverage:
         lo, hi = self._slices[cid]
         for i in range(lo, hi):
             self.counts[i] += 1
-
-    def remove(self, cid: int) -> None:
-        lo, hi = self._slices[cid]
-        for i in range(lo, hi):
-            self.counts[i] -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +200,7 @@ def repair_selection(
 
 
 # ---------------------------------------------------------------------------
-# Exact branch-and-bound
+# Exact search: branch-and-bound (GMT) and endpoint sweep (KRMT)
 
 
 class _Deadline:
@@ -224,15 +220,16 @@ class _Deadline:
 
 def _witness_requirements(
     instance: Instance, graph: ConflictGraph, part: set, mode: AmMode
-) -> Tuple[Dict[int, List[frozenset]], set]:
+) -> Tuple[Dict[int, List[Tuple[float, frozenset]]], set]:
     """Justification as set constraints: ``(requirements, usable candidates)``.
 
     For AM2/AM3, an endpoint not on the presence boundary is justified iff a
     witness candidate from a fixed, precomputable set is selected: any
     candidate of a conflict partner whose conflict ends (starts) exactly at
-    the endpoint and whose interval covers it.  A candidate with an empty
-    witness set can never appear in a valid solution and is removed; removal
-    shrinks other witness sets, so this iterates to a fixpoint.
+    the endpoint and whose interval covers it.  Each requirement is an
+    ``(endpoint, witness set)`` pair.  A candidate with an empty witness set
+    can never appear in a valid solution and is removed; removal shrinks
+    other witness sets, so this iterates to a fixpoint.
     """
     if mode is AmMode.AM1:
         return {v: [] for v in part}, set(part)
@@ -266,13 +263,13 @@ def _witness_requirements(
             if mode is AmMode.AM3 and start != presence.start:
                 wit = witnesses(v, [other for other, iv in conflicts if iv.end == start], start)
                 if wit:
-                    reqs.append(wit)
+                    reqs.append((start, wit))
                 else:
                     usable = False
             if usable and end != presence.end:
                 wit = witnesses(v, [other for other, iv in conflicts if iv.start == end], end)
                 if wit:
-                    reqs.append(wit)
+                    reqs.append((end, wit))
                 else:
                     usable = False
             if usable:
@@ -284,133 +281,106 @@ def _witness_requirements(
         alive.difference_update(dead)
 
 
-class _ClusterBnB:
-    """Branch-and-bound choosing at most one candidate per cluster.
+def _k_sweep(
+    graph: ConflictGraph,
+    part: set,
+    requirements: Dict[int, List[Tuple[float, frozenset]]],
+    k: int,
+    deadline: _Deadline,
+) -> Optional[set]:
+    """Heaviest selection from ``part`` with at most ``k`` candidates open at once.
 
-    Clusters are decided in time order; the bound is the current weight plus
-    the per-cluster maxima of the undecided clusters.  Justification (AM2/
-    AM3) is tracked as pending witness requirements: every chosen candidate
-    with an inner endpoint must eventually see one of its witness candidates
-    selected, and a branch dies as soon as the last cluster that could still
-    provide a witness has been passed.
+    A dynamic program over the endpoint times, as in k-track interval
+    scheduling (Arkin & Silverberg 1987).  A state is the set of selected
+    candidates open now plus the used clusters that still have candidates
+    starting later; per state only the heaviest selection is kept, as a
+    back-pointer chain.  Each time t opens the candidates starting at t (not
+    adjacent to an open one, at most k open once those ending at t close,
+    cluster unused), drops the states where an inner endpoint at t has no
+    witness open (every witness covers t), then closes those ending at t.
+    Returns None when the deadline strikes first.
     """
+    cands = graph.candidates
+    # time -> (starting, ending, (candidate, witnesses) checks, expiring clusters)
+    events: Dict[float, tuple] = defaultdict(lambda: ([], [], [], []))
+    cluster = {v: cands[v].cluster_key for v in part}
+    last_start: Dict[tuple, float] = {}
+    for v in sorted(part):
+        iv = cands[v].interval
+        events[iv.start][0].append(v)
+        events[iv.end][1].append(v)
+        for t, wit in requirements.get(v, ()):
+            events[t][2].append((v, wit))
+        last_start[cluster[v]] = max(last_start.get(cluster[v], iv.start), iv.start)
+    for key, t in last_start.items():
+        events[t][3].append(key)
 
-    def __init__(
-        self,
-        instance: Instance,
-        graph: ConflictGraph,
-        clusters: List[List[int]],
-        mode: AmMode,
-        k: Optional[int],
-        deadline: _Deadline,
-    ):
-        self.graph = graph
-        self.deadline = deadline
-        part = {v for m in clusters for v in m}
-        self.requirements, alive = _witness_requirements(instance, graph, part, mode)
-        kept = [[v for v in m if v in alive] for m in clusters]
-        # time order, heaviest candidate first within each cluster
-        self.clusters = [
-            sorted(m, key=lambda v: (-graph.weight(v), v))
-            for m in sorted(
-                (m for m in kept if m),
-                key=lambda m: (
-                    min(graph.candidates[v].interval.start for v in m),
-                    graph.candidates[m[0]].cluster_key,
-                ),
+    # states by number of open candidates: (open, used) -> (weight, chain)
+    levels: Dict[int, Dict[tuple, tuple]] = {0: {(frozenset(), frozenset()): (0.0, None)}}
+    for t in sorted(events):
+        starting, ending, checks, expiring = events[t]
+        for v in starting:
+            adj, mine, w = graph._adj_sets[v], cluster[v], cands[v].weight
+            grown = []
+            for n, level in levels.items():
+                if n - len(ending) >= k:
+                    continue  # full even once the candidates ending at t close
+                for (open_, used), (weight, chain) in level.items():
+                    if deadline.check():
+                        return None
+                    if mine in used or not adj.isdisjoint(open_):
+                        continue
+                    if len(open_.difference(ending)) < k:
+                        grown.append(((open_ | {v}, used), (weight + w, (v, chain))))
+            for key, value in grown:  # all new: v is in no open set yet
+                levels.setdefault(len(key[0]), {})[key] = value
+        touched = {*ending, *(v for v, _ in checks)}
+        if not (touched or expiring):
+            continue
+        moved = []
+        for level in levels.values():
+            hit = [
+                key
+                for key in level
+                if not (key[0].isdisjoint(touched) and key[1].isdisjoint(expiring))
+            ]
+            moved.extend((key, level.pop(key)) for key in hit)
+        for (open_, used), value in moved:
+            if deadline.check():
+                return None
+            if any(v in open_ and wit.isdisjoint(open_) for v, wit in checks):
+                continue
+            used = used.difference(expiring).union(
+                cluster[u] for u in open_ if u in ending and last_start[cluster[u]] > t
             )
-        ]
-        pos_of: Dict[int, int] = {}
-        for i, m in enumerate(self.clusters):
-            for v in m:
-                pos_of[v] = i
-        self.last_chance = {
-            v: [max((pos_of[u] for u in wit if u in pos_of), default=-1) for wit in reqs]
-            for v, reqs in self.requirements.items()
-            if v in pos_of
-        }
-        self.suffix_bound = [0.0] * (len(self.clusters) + 1)
-        for i in range(len(self.clusters) - 1, -1, -1):
-            self.suffix_bound[i] = self.suffix_bound[i + 1] + graph.weight(self.clusters[i][0])
-        all_cands = [graph.candidates[v] for m in self.clusters for v in m]
-        self.coverage = _Coverage(all_cands, k) if k is not None else None
-        self.best_weight = 0.0
-        self.best: set = set()
-        # pending witness requirements: [witness set, last chance, hits]
-        self.pending: List[list] = []
-        self.selected: List[int] = []
-        self._undo: List[tuple] = []
+            key = (open_.difference(ending), used)
+            level = levels.setdefault(len(key[0]), {})
+            if key not in level or value[0] > level[key][0]:
+                level[key] = value
 
-    @property
-    def root_bound(self) -> float:
-        return self.suffix_bound[0]
+    ((_, chain),) = levels[0].values()
+    selection = set()
+    while chain is not None:
+        v, chain = chain
+        selection.add(v)
+    return selection
 
-    def run(self) -> None:
-        self._dfs(0, 0.0)
 
-    def _record(self, weight: float) -> None:
-        if weight > self.best_weight and all(p[2] > 0 for p in self.pending):
-            self.best_weight = weight
-            self.best = set(self.selected)
+def _slice_bound(instance: Instance, k: int) -> float:
+    """KRMT upper bound valid in every activity model.
 
-    def _dfs(self, i: int, weight: float) -> None:
-        if self.deadline.check():
-            return
-        if weight + self.suffix_bound[i] <= self.best_weight:
-            return
-        for wit, last, hits in self.pending:
-            if hits == 0 and last < i:
-                return  # an unsatisfied requirement ran out of witnesses
-        self._record(weight)
-        if i == len(self.clusters):
-            return
-        graph = self.graph
-        for v in self.clusters[i]:
-            w = graph.weight(v)
-            if weight + w + self.suffix_bound[i + 1] <= self.best_weight:
-                break  # candidates sorted by weight: the rest is no better
-            if any(graph.adjacent(v, u) for u in self.selected):
-                continue
-            if self.coverage is not None:
-                if not self.coverage.can_add(v):
-                    continue
-            if not self._push(v, i):
-                continue
-            if self.coverage is not None:
-                self.coverage.add(v)
-            self._dfs(i + 1, weight + w)
-            if self.coverage is not None:
-                self.coverage.remove(v)
-            self._pop()
-            if self.deadline.hit:
-                return
-        self._dfs(i + 1, weight)  # skip this cluster
-
-    def _push(self, v: int, i: int) -> bool:
-        """Select v at cluster position i; False if justification is already dead."""
-        new_entries = []
-        for wit, last in zip(self.requirements[v], self.last_chance[v]):
-            hits = sum(1 for u in self.selected if u in wit)
-            if hits == 0 and last < i:
-                return False
-            new_entries.append([wit, last, hits])
-        bumped = []
-        for p in self.pending:
-            if v in p[0]:
-                p[2] += 1
-                bumped.append(p)
-        self._undo.append((len(new_entries), bumped))
-        self.pending.extend(new_entries)
-        self.selected.append(v)
-        return True
-
-    def _pop(self) -> None:
-        added, bumped = self._undo.pop()
-        if added:
-            del self.pending[-added:]
-        for p in bumped:
-            p[2] -= 1
-        self.selected.pop()
+    Between consecutive presence endpoints at most the ``k`` heaviest labels
+    present can be active, so the bound sums slice length times their weights.
+    """
+    presences = [
+        (iv, instance.labels[lid].weight) for lid, ivs in instance.presences.items() for iv in ivs
+    ]
+    points = sorted({p for iv, _ in presences for p in (iv.start, iv.end)})
+    total = 0.0
+    for lo, hi in zip(points, points[1:]):
+        weights = sorted((w for iv, w in presences if iv.start <= lo and hi <= iv.end), reverse=True)
+        total += (hi - lo) * sum(weights[:k])
+    return total
 
 
 def _label_groups(instance: Instance, graph: ConflictGraph) -> List[List[List[int]]]:
@@ -474,26 +444,27 @@ class _GroupSolver:
         self.chosen: set = set()
         self.cluster_of = {v: i for i, m in enumerate(clusters) for v in m}
         # cluster-level adjacency (any candidate edge); coarser than the live
-        # candidate adjacency but cheap to intersect per node
-        self.cluster_adj: List[set] = [set() for _ in clusters]
-        for i, m in enumerate(clusters):
-            for v in m:
-                for u in graph.neighbors(v):
-                    j = self.cluster_of.get(u)
-                    if j is not None and j != i:
-                        self.cluster_adj[i].add(j)
+        # candidate adjacency but cheap to intersect per node.  A cluster's
+        # full-presence candidate (earliest start, latest end) contains every
+        # cluster-mate, so it meets every cluster that any of them meets.
+        ivs = [c.interval for c in graph.candidates]
+        full = [min(m, key=lambda v: (ivs[v].start, -ivs[v].end)) for m in clusters]
+        self.cluster_adj: List[set] = [
+            {self.cluster_of.get(u) for u in graph.neighbors(f)} - {i, None}
+            for i, f in enumerate(full)
+        ]
         # clusters holding potential witnesses, per candidate with inner endpoints
         self.witness_clusters: Dict[int, set] = {}
         for v, reqs in requirements.items():
             if reqs and v in self.cluster_of:
                 self.witness_clusters[v] = {
-                    self.cluster_of[u] for wit in reqs for u in wit if u in self.cluster_of
+                    self.cluster_of[u] for _, wit in reqs for u in wit if u in self.cluster_of
                 }
         # who can witness whom: used to trim memo keys to the part of the
         # chosen set that can still influence a subproblem
         self.witnessed_by: Dict[int, set] = {}
         for v, reqs in requirements.items():
-            for wit in reqs:
+            for _, wit in reqs:
                 for u in wit:
                     self.witnessed_by.setdefault(u, set()).add(v)
         self.memo: Dict[tuple, tuple] = {}
@@ -642,7 +613,7 @@ class _GroupSolver:
                     break
                 new_musts.append(cut)
             if ok:
-                for wit in self.requirements[v]:
+                for _, wit in self.requirements[v]:
                     if wit & self.chosen:
                         continue  # already witnessed upstream
                     cut = frozenset(
@@ -718,13 +689,45 @@ def _solve_group(
     return set(res[0]), True, res[1]
 
 
+def _solve_krmt(
+    instance: Instance, graph: ConflictGraph, mode: AmMode, k: int, deadline: _Deadline
+) -> Tuple[set, bool]:
+    """KRMT selection and whether it is proven optimal.
+
+    Sweeps growing candidate sets, each optimum valid in every later one:
+    the full-presence candidates (the AM1 graph), for AM3 the candidates
+    starting at their presence start (the AM2 graph), then all candidates.
+    On timeout the last finished optimum is returned, so reported values
+    keep AM1 <= AM2 <= AM3; if none finished, the greedy selection.
+    """
+
+    def presence(v: int) -> TimeInterval:
+        c = graph.candidates[v]
+        return instance.presences_of(c.label_id)[c.presence_index]
+
+    full = {v for v in range(len(graph)) if graph.candidates[v].interval == presence(v)}
+    best = _k_sweep(graph, full, {}, k, deadline)
+    if best is None:
+        return _greedy_selection(instance, graph, k, within=full), False
+    if len(full) == len(graph):
+        return best, True
+    requirements, alive = _witness_requirements(instance, graph, set(range(len(graph))), mode)
+    prefixes = {v for v in alive if graph.candidates[v].interval.start == presence(v).start}
+    for part in (prefixes, alive) if mode is AmMode.AM3 else (alive,):
+        wider = _k_sweep(graph, part, requirements, k, deadline)
+        if wider is None:
+            return best, False
+        best = wider
+    return best, True
+
+
 def solve_exact(
     instance: Instance,
     problem: Problem,
     mode: AmMode,
     time_limit: float = 600.0,
 ) -> SolveResult:
-    """Optimal activity set via branch-and-bound on the candidate graph."""
+    """Optimal activity set: branch-and-bound (GMT) or a time sweep (KRMT)."""
     started = time.perf_counter()
     try:
         graph = build_graph(instance, mode)
@@ -743,32 +746,14 @@ def solve_exact(
             selection |= sel
             upper += part_upper
             optimal = optimal and is_opt
-        phi = graph.to_activity_set(selection)
-        if optimal:
-            res = _result(instance, phi, Status.OPTIMAL, started)
-            return SolveResult(res.phi, res.objective, res.status, res.runtime, res.objective)
-        return _result(instance, phi, Status.FEASIBLE, started, upper_bound=upper)
-
-    clusters = [m for m in graph.clusters.values() if m]
-    if not clusters:
-        return _result(instance, _empty_phi(), Status.OPTIMAL, started, upper_bound=0.0)
-    bnb = _ClusterBnB(instance, graph, clusters, mode, problem.k, deadline)
-    # Warm start: greedy over the full-presence candidates is valid for every
-    # activity model and respects the k bound.
-    full = {
-        c.id
-        for c in graph.candidates
-        if c.interval == instance.presences_of(c.label_id)[c.presence_index]
-    }
-    warm = _greedy_selection(instance, graph, problem.k, within=full)
-    bnb.best = set(warm)
-    bnb.best_weight = graph.selection_weight(warm)
-    bnb.run()
-    phi = graph.to_activity_set(bnb.best)
-    if deadline.hit:
-        return _result(instance, phi, Status.FEASIBLE, started, upper_bound=bnb.root_bound)
-    res = _result(instance, phi, Status.OPTIMAL, started)
-    return SolveResult(res.phi, res.objective, res.status, res.runtime, res.objective)
+    else:
+        selection, optimal = _solve_krmt(instance, graph, mode, problem.k, deadline)
+        upper = None if optimal else _slice_bound(instance, problem.k)
+    phi = graph.to_activity_set(selection)
+    if optimal:
+        res = _result(instance, phi, Status.OPTIMAL, started)
+        return SolveResult(res.phi, res.objective, res.status, res.runtime, res.objective)
+    return _result(instance, phi, Status.FEASIBLE, started, upper_bound=upper)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,9 @@ def _conflicting_pairs(instance: Instance, candidates) -> set:
     return pairs
 
 
-def milp_gmt(instance: Instance, mode: AmMode, time_limit: float = 60.0):
+def milp_gmt(
+    instance: Instance, mode: AmMode, time_limit: float = 60.0, k: Optional[int] = None
+):
     """Optimal GMT value and activity set from a 0/1 program solved by HiGHS.
 
     One variable per candidate of ``build_graph``; every constraint is built
@@ -98,7 +100,9 @@ def milp_gmt(instance: Instance, mode: AmMode, time_limit: float = 60.0):
     two candidates whose open overlap meets a conflict, and each endpoint
     inside its presence at most the sum of the candidates that can witness
     it (a candidate of a conflict partner, whose conflict ends at that start
-    or starts at that end, active at that time).
+    or starts at that end, active at that time).  With ``k`` it solves KRMT:
+    at most ``k`` candidates cover each elementary slice between consecutive
+    candidate endpoints.
     """
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
@@ -146,6 +150,13 @@ def milp_gmt(instance: Instance, mode: AmMode, time_limit: float = 60.0):
             }
             rows.append([(c.id, 1.0)] + [(u, -1.0) for u in sorted(witnesses)])
             ubs.append(0.0)
+    if k is not None:
+        points = sorted({p for c in candidates for p in (c.interval.start, c.interval.end)})
+        for lo, hi in zip(points, points[1:]):
+            cover = [c.id for c in candidates if c.interval.start <= lo and hi <= c.interval.end]
+            if len(cover) > k:
+                rows.append([(v, 1.0) for v in cover])
+                ubs.append(float(k))
 
     row_idx = [r for r, row in enumerate(rows) for _ in row]
     col_idx = [v for row in rows for v, _ in row]

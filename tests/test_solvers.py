@@ -3,11 +3,17 @@ import random
 
 import pytest
 
+from chronolabel.cli import apply_min_activity
+from chronolabel.conflict_graph import build_graph
 from chronolabel.model import TimeInterval, load_instance, make_activity_set, objective
+from chronolabel.scenario import extract_instance, synthesize_scenario
 from chronolabel.solvers import (
     GMT,
     Problem,
     Status,
+    _GroupSolver,
+    _label_groups,
+    _witness_requirements,
     krmt,
     mwis_intervals,
     solve_exact,
@@ -23,6 +29,26 @@ from oracle import brute_force_mwis, enumerate_optima, enumeration_search_space,
 # First navigation-corpus instances cross-checked against the MILP oracle;
 # HiGHS needs about 12 s for their 36 GMT solves on a 2-CPU host.
 MILP_NAV_INSTANCES = 12
+# perfbench's nav-exact time limit, and the AM3 cap for KRMT cross-checks
+NAV_TIME_LIMIT = 1.1
+
+
+def nav_scenario(seed: int):
+    return apply_min_activity(extract_instance(synthesize_scenario(seed)), 1.0)
+
+
+def slice_bound(instance, k: int) -> float:
+    """Per slice between presence endpoints: length times the k largest
+    weights of the labels present at its midpoint."""
+    presences = [(lid, iv) for lid, ivs in instance.presences.items() for iv in ivs]
+    points = sorted({p for _, iv in presences for p in (iv.start, iv.end)})
+    total = 0.0
+    for lo, hi in zip(points, points[1:]):
+        mid = 0.5 * (lo + hi)
+        present = {lid for lid, iv in presences if iv.start < mid < iv.end}
+        weights = sorted((instance.labels[lid].weight for lid in present), reverse=True)
+        total += (hi - lo) * sum(weights[:k])
+    return total
 
 
 class TestExact:
@@ -81,6 +107,81 @@ class TestExact:
                 got = solve_exact(instance, GMT, mode, time_limit=60.0)
                 assert got.status is Status.OPTIMAL, (seed, mode)
                 assert got.objective == pytest.approx(want, rel=1e-9), (seed, mode)
+
+    def test_krmt_matches_milp_oracle_on_nav_corpus(self):
+        pytest.importorskip("scipy.optimize")
+        am3_checked = 0
+        for seed, instance in navigation_corpus(MILP_NAV_INSTANCES):
+            for k in (1, 2):
+                for mode in AmMode:
+                    limit = NAV_TIME_LIMIT if mode is AmMode.AM3 else 60.0
+                    got = solve_exact(instance, krmt(k), mode, time_limit=limit)
+                    if mode is not AmMode.AM3:
+                        assert got.status is Status.OPTIMAL, (seed, mode, k)
+                    elif got.status is not Status.OPTIMAL:
+                        continue
+                    am3_checked += mode is AmMode.AM3
+                    want, phi = milp_gmt(instance, mode, k=k)
+                    assert check_model(instance, phi, mode, k=k).valid
+                    assert got.objective == pytest.approx(want, rel=1e-9), (seed, mode, k)
+        assert am3_checked >= MILP_NAV_INSTANCES
+
+    def test_krmt_timeout_reports_slice_bound(self):
+        instance = nav_scenario(2)
+        result = solve_exact(instance, krmt(2), AmMode.AM3, time_limit=0.0)
+        assert result.status is Status.FEASIBLE
+        assert check_model(instance, result.phi, AmMode.AM3, k=2).valid
+        assert result.upper_bound == pytest.approx(slice_bound(instance, 2), rel=1e-9)
+        assert result.upper_bound >= result.objective
+        assert result.upper_bound == pytest.approx(474.0, abs=0.05)
+
+    def test_krmt_model_order_with_short_am3_limit(self):
+        for seed, instance in navigation_corpus(MILP_NAV_INSTANCES):
+            for k in (1, 2):
+                values = []
+                for mode in AmMode:
+                    limit = NAV_TIME_LIMIT if mode is AmMode.AM3 else 60.0
+                    result = solve_exact(instance, krmt(k), mode, time_limit=limit)
+                    assert check_model(instance, result.phi, mode, k=k).valid
+                    if result.status is Status.FEASIBLE:
+                        bound = slice_bound(instance, k)
+                        assert result.upper_bound == pytest.approx(bound, rel=1e-9)
+                    values.append(result.objective)
+                # equal optima may sum their activities in another order
+                tol = 1e-9 * values[0]
+                assert values[0] <= values[1] + tol and values[1] <= values[2] + tol, (seed, k)
+
+    def test_krmt_am1_proven_within_nav_limit(self):
+        instances = [(21, nav_scenario(21))] + navigation_corpus(20)
+        for seed, instance in instances:
+            for k in (1, 2):
+                result = solve_exact(instance, krmt(k), AmMode.AM1, time_limit=NAV_TIME_LIMIT)
+                assert result.status is Status.OPTIMAL, (seed, k)
+                assert result.upper_bound == result.objective
+
+    @pytest.mark.parametrize("mode", [AmMode.AM2, AmMode.AM3])
+    def test_cluster_adjacency_from_full_presence_candidates(self, mode):
+        for _, instance in navigation_corpus(3):
+            graph = build_graph(instance, mode)
+            for clusters in _label_groups(instance, graph):
+                part = {v for m in clusters for v in m}
+                requirements, alive = _witness_requirements(instance, graph, part, mode)
+                kept = [
+                    sorted((v for v in m if v in alive), key=lambda v: (-graph.weight(v), v))
+                    for m in clusters
+                ]
+                kept = [m for m in kept if m]
+                solver = _GroupSolver(graph, requirements, kept, deadline=None)
+                # two clusters are linked iff any of their candidates are adjacent
+                expected = [
+                    {
+                        j
+                        for j, other in enumerate(kept)
+                        if j != i and any(graph.adjacent(u, v) for u in m for v in other)
+                    }
+                    for i, m in enumerate(kept)
+                ]
+                assert solver.cluster_adj == expected
 
     def test_k_monotone(self):
         for seed in range(10):
