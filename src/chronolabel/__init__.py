@@ -29,7 +29,6 @@ from .conflict_graph import (
     ConflictGraph,
     SizeLimitExceeded,
     build_graph,
-    candidate_conflict,
 )
 from .solvers import (
     GMT,

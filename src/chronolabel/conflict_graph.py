@@ -12,16 +12,18 @@ two labels are in conflict somewhere in the open overlap of the candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set
+
+import numpy as np
 
 from .model import ActivitySet, Instance, TimeInterval, make_activity_set
 from .validation import AmMode
 
-DEFAULT_SIZE_LIMIT = 10**7
+SIZE_LIMIT = 10**7
 
 
 class SizeLimitExceeded(RuntimeError):
-    """Graph would exceed the configured vertex/edge cap."""
+    """Graph would exceed the ``SIZE_LIMIT`` vertex/edge cap."""
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,12 @@ class ConflictGraph:
         mode: AmMode,
         candidates: List[Candidate],
         clusters: Dict[tuple, List[int]],
-        adjacency: List[List[int]],
+        adjacency: List[Set[int]],
     ):
         self.mode = mode
         self.candidates = candidates
         self.clusters = clusters
-        self.adjacency = adjacency  # sorted neighbor ids, cluster mates included
-        self._adj_sets = [set(neigh) for neigh in adjacency]
+        self.adjacency = adjacency  # neighbor id sets, cluster mates included
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -61,9 +62,9 @@ class ConflictGraph:
         return sum(len(n) for n in self.adjacency) // 2
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        return v in self.adjacency[u]
 
-    def neighbors(self, v: int) -> List[int]:
+    def neighbors(self, v: int) -> Set[int]:
         return self.adjacency[v]
 
     def weight(self, v: int) -> float:
@@ -78,18 +79,6 @@ class ConflictGraph:
             c = self.candidates[v]
             raw.setdefault(c.label_id, []).append(c.interval)
         return make_activity_set(raw)
-
-
-def candidate_conflict(instance: Instance, c1: Candidate, c2: Candidate) -> bool:
-    """True iff a conflict of the two labels meets the open overlap of the candidates."""
-    lo = max(c1.interval.start, c2.interval.start)
-    hi = min(c1.interval.end, c2.interval.end)
-    if lo >= hi:
-        return False
-    for conflict in instance.conflicts_between(c1.label_id, c2.label_id):
-        if conflict.start < hi and conflict.end > lo:
-            return True
-    return False
 
 
 def _candidate_intervals(
@@ -107,20 +96,20 @@ def _candidate_intervals(
     )
 
 
-def build_graph(
-    instance: Instance, mode: AmMode, size_limit: int = DEFAULT_SIZE_LIMIT
-) -> ConflictGraph:
+def build_graph(instance: Instance, mode: AmMode) -> ConflictGraph:
     """Construct the candidate conflict graph for the given activity model.
 
     Raises SizeLimitExceeded once the vertex or edge count would pass
-    ``size_limit``; the edge count is established before adjacency lists are
-    materialized so the guard aborts cheaply.
+    ``SIZE_LIMIT``; the edge count is established before the adjacency sets
+    are filled so the guard aborts cheaply.
     """
     candidates: List[Candidate] = []
     clusters: Dict[tuple, List[int]] = {}
+    span: Dict[str, slice] = {}  # label -> its candidate ids, if it has any
     for lid in sorted(instance.presences):
         label = instance.labels[lid]
         label_conflicts = instance.conflicts_of(lid)
+        first = len(candidates)
         for pi, presence in enumerate(instance.presences_of(lid)):
             inside = [
                 iv for _, iv in label_conflicts if presence.contains(iv)
@@ -133,37 +122,42 @@ def build_graph(
                     Candidate(cid, lid, pi, interval, interval.length * label.weight)
                 )
                 clusters[key].append(cid)
-                if len(candidates) > size_limit:
-                    raise SizeLimitExceeded(f"more than {size_limit} candidates")
+                if len(candidates) > SIZE_LIMIT:
+                    raise SizeLimitExceeded(f"more than {SIZE_LIMIT} candidates")
+        if len(candidates) > first:
+            span[lid] = slice(first, len(candidates))
 
-    by_pair: Dict[tuple, list] = {}
-    conflict_pairs = {e.pair for e in instance.conflicts}
-    for c in candidates:
-        by_pair.setdefault(c.label_id, []).append(c)
-
-    # Count edges before materializing adjacency.
+    # Cross edges, one boolean matrix per conflicting label pair: a pair of
+    # candidates is adjacent iff their open overlap (lo, hi) is non-empty and
+    # meets a conflict of the two labels.  Count edges before filling sets.
+    starts = np.array([c.interval.start for c in candidates])
+    ends = np.array([c.interval.end for c in candidates])
     edge_count = sum(len(m) * (len(m) - 1) // 2 for m in clusters.values())
-    cross: List[Tuple[int, int]] = []
-    for a, b in sorted(conflict_pairs):
-        for ca in by_pair.get(a, ()):
-            for cb in by_pair.get(b, ()):
-                if candidate_conflict(instance, ca, cb):
-                    cross.append((ca.id, cb.id))
-                    edge_count += 1
-                    if edge_count > size_limit:
-                        raise SizeLimitExceeded(f"more than {size_limit} edges")
-    if edge_count > size_limit:
-        raise SizeLimitExceeded(f"more than {size_limit} edges")
+    cross = []
+    for a, b in sorted({e.pair for e in instance.conflicts}):
+        if a not in span or b not in span:
+            continue
+        sa, sb = span[a], span[b]
+        lo = np.maximum.outer(starts[sa], starts[sb])
+        hi = np.minimum.outer(ends[sa], ends[sb])
+        meets = np.zeros(lo.shape, dtype=bool)
+        for conflict in instance.conflicts_between(a, b):
+            meets |= (conflict.start < hi) & (conflict.end > lo)
+        rows, cols = np.nonzero(meets & (lo < hi))
+        edge_count += len(rows)
+        if edge_count > SIZE_LIMIT:
+            raise SizeLimitExceeded(f"more than {SIZE_LIMIT} edges")
+        cross.append(((rows + sa.start).tolist(), (cols + sb.start).tolist()))
+    if edge_count > SIZE_LIMIT:
+        raise SizeLimitExceeded(f"more than {SIZE_LIMIT} edges")
 
-    adjacency: List[List[int]] = [[] for _ in candidates]
+    adjacency: List[Set[int]] = [set() for _ in candidates]
     for members in clusters.values():
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-    for u, v in cross:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    for neigh in adjacency:
-        neigh.sort()
+        for v in members:
+            adjacency[v].update(members)
+            adjacency[v].discard(v)
+    for us, vs in cross:
+        for u, v in zip(us, vs):
+            adjacency[u].add(v)
+            adjacency[v].add(u)
     return ConflictGraph(mode, candidates, clusters, adjacency)

@@ -242,7 +242,7 @@ def _witness_requirements(
 
         def witnesses(v: int, partners: List[str], t: float) -> frozenset:
             # a witness must cover the endpoint AND be co-selectable with v
-            adj_v = graph._adj_sets[v]
+            adj_v = graph.neighbors(v)
             return frozenset(
                 u
                 for other in partners
@@ -320,7 +320,7 @@ def _k_sweep(
     for t in sorted(events):
         starting, ending, checks, expiring = events[t]
         for v in starting:
-            adj, mine, w = graph._adj_sets[v], cluster[v], cands[v].weight
+            adj, mine, w = graph.neighbors(v), cluster[v], cands[v].weight
             grown = []
             for n, level in levels.items():
                 if n - len(ending) >= k:
@@ -585,7 +585,7 @@ class _GroupSolver:
             w = graph.weight(v)
             if w + bound_rest <= best_w:
                 break  # candidates sorted by weight: the rest is no better
-            nb = graph._adj_sets[v]
+            nb = graph.neighbors(v)
             # only clusters adjacent to the branching cluster can lose
             # candidates; the rest share their (immutable) lists
             new_avail = dict(rest)
@@ -666,7 +666,7 @@ def _solve_group(
     """
     part = {v for m in clusters for v in m}
     warm = repair_selection(
-        instance, graph, _greedy_selection(instance, graph, None, within=part), mode
+        instance, graph, _greedy_selection(graph, None, within=part), mode
     )
     requirements, alive = _witness_requirements(instance, graph, part, mode)
     kept = [
@@ -691,15 +691,18 @@ def _solve_group(
 
 def _solve_krmt(
     instance: Instance, graph: ConflictGraph, mode: AmMode, k: int, deadline: _Deadline
-) -> Tuple[set, bool]:
-    """KRMT selection and whether it is proven optimal.
+) -> Tuple[set, bool, float]:
+    """KRMT (selection, proven optimal, upper bound).
 
     Sweeps growing candidate sets, each optimum valid in every later one:
     the full-presence candidates (the AM1 graph), for AM3 the candidates
     starting at their presence start (the AM2 graph), then all candidates.
-    On timeout the last finished optimum is returned, so reported values
-    keep AM1 <= AM2 <= AM3; if none finished, the greedy selection.
+    A finished sweep that reaches the slice bound is optimal and ends the
+    search.  On timeout the last finished optimum is returned, so reported values keep
+    AM1 <= AM2 <= AM3; if none finished, the greedy selection.
     """
+    bound = _slice_bound(instance, k)
+    reached = bound * (1 - 1e-9)  # equal sums may round differently
 
     def presence(v: int) -> TimeInterval:
         c = graph.candidates[v]
@@ -708,17 +711,19 @@ def _solve_krmt(
     full = {v for v in range(len(graph)) if graph.candidates[v].interval == presence(v)}
     best = _k_sweep(graph, full, {}, k, deadline)
     if best is None:
-        return _greedy_selection(instance, graph, k, within=full), False
-    if len(full) == len(graph):
-        return best, True
+        return _greedy_selection(graph, k, within=full), False, bound
+    if len(full) == len(graph) or graph.selection_weight(best) >= reached:
+        return best, True, bound
     requirements, alive = _witness_requirements(instance, graph, set(range(len(graph))), mode)
     prefixes = {v for v in alive if graph.candidates[v].interval.start == presence(v).start}
     for part in (prefixes, alive) if mode is AmMode.AM3 else (alive,):
         wider = _k_sweep(graph, part, requirements, k, deadline)
         if wider is None:
-            return best, False
+            return best, False, bound
         best = wider
-    return best, True
+        if graph.selection_weight(best) >= reached:
+            break
+    return best, True, bound
 
 
 def solve_exact(
@@ -747,8 +752,7 @@ def solve_exact(
             upper += part_upper
             optimal = optimal and is_opt
     else:
-        selection, optimal = _solve_krmt(instance, graph, mode, problem.k, deadline)
-        upper = None if optimal else _slice_bound(instance, problem.k)
+        selection, optimal, upper = _solve_krmt(instance, graph, mode, problem.k, deadline)
     phi = graph.to_activity_set(selection)
     if optimal:
         res = _result(instance, phi, Status.OPTIMAL, started)
@@ -760,24 +764,20 @@ def solve_exact(
 # Greedy
 
 
-def _greedy_selection(
-    instance: Instance,
-    graph: ConflictGraph,
-    k: Optional[int],
-    within: Optional[set] = None,
-) -> set:
-    alive = set(range(len(graph))) if within is None else set(within)
+def _greedy_selection(graph: ConflictGraph, k: Optional[int], within: Optional[set] = None) -> set:
+    """Heaviest candidates first (ties: smallest id), each taken unless an
+    earlier pick blocks it or, with ``k``, it would exceed k open at once."""
     coverage = _Coverage(graph.candidates, k) if k is not None else None
     selected: set = set()
-    while alive:
-        # max weight, ties by smallest candidate id
-        pick = min(alive, key=lambda v: (-graph.weight(v), v))
-        selected.add(pick)
-        alive.discard(pick)
-        alive.difference_update(graph.neighbors(pick))
+    pool = range(len(graph)) if within is None else within
+    for v in sorted(pool, key=lambda v: (-graph.weight(v), v)):
+        if not graph.neighbors(v).isdisjoint(selected):
+            continue
         if coverage is not None:
-            coverage.add(pick)
-            alive = {v for v in alive if coverage.can_add(v)}
+            if not coverage.can_add(v):
+                continue
+            coverage.add(v)
+        selected.add(v)
     return selected
 
 
@@ -801,7 +801,7 @@ def solve_greedy(
         graph = build_graph(instance, build_mode)
     except SizeLimitExceeded:
         return _result(instance, _empty_phi(), Status.SIZE_ABORT, started)
-    selected = _greedy_selection(instance, graph, problem.k)
+    selected = _greedy_selection(graph, problem.k)
     if problem.kind == "GMT":
         selected = repair_selection(instance, graph, selected, mode)
     phi = graph.to_activity_set(selected)

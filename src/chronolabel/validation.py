@@ -207,7 +207,7 @@ def saturate_excluding(instance, graph, selection: set) -> set:
     """
     selected = set(selection)
     for v in selected:
-        clash = graph._adj_sets[v] & selected
+        clash = graph.neighbors(v) & selected
         if clash:
             raise IntegrityError(f"selection is not independent: {min(clash)} ~ {v}")
     while True:
@@ -221,7 +221,7 @@ def saturate_excluding(instance, graph, selection: set) -> set:
                 if gain <= 0:
                     continue
                 # u is a cluster-mate of v, so v is among its selected neighbours
-                if not graph._adj_sets[u] & selected <= {v}:
+                if not graph.neighbors(u) & selected <= {v}:
                     continue
                 key = (-gain, u)
                 if best is None or key < (-best[0], best[1]):

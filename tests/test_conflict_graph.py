@@ -1,16 +1,14 @@
 import pytest
 
-from chronolabel.conflict_graph import (
-    SizeLimitExceeded,
-    build_graph,
-    candidate_conflict,
-)
+from chronolabel import conflict_graph
+from chronolabel.conflict_graph import SizeLimitExceeded, build_graph
 from chronolabel.cli import apply_min_activity
-from chronolabel.model import make_activity_set
+from chronolabel.model import ConflictEntry, Instance, Label, TimeInterval
 from chronolabel.scenario import extract_instance, synthesize_scenario
 from chronolabel.validation import AmMode, check_valid
 
-from conftest import random_instance
+from conftest import navigation_corpus, random_instance
+from oracle import _conflicting_pairs
 
 
 def intervals_of(graph, label):
@@ -86,9 +84,10 @@ class TestBuildGraph:
             }
             assert sets[AmMode.AM1] <= sets[AmMode.AM2] <= sets[AmMode.AM3]
 
-    def test_size_guard(self, i1):
+    def test_size_guard(self, i1, monkeypatch):
+        monkeypatch.setattr(conflict_graph, "SIZE_LIMIT", 3)
         with pytest.raises(SizeLimitExceeded):
-            build_graph(i1, AmMode.AM3, size_limit=3)
+            build_graph(i1, AmMode.AM3)
 
     def test_independent_set_passes_check_valid(self):
         for seed in range(30):
@@ -124,12 +123,56 @@ class TestCandidateConflict:
         c1 = next(c for c in graph.candidates if c.label_id == "l1" and c.interval.end == 10.0)
         c2_short = next(c for c in graph.candidates if c.label_id == "l2" and c.interval.end == 4.0)
         c2_full = next(c for c in graph.candidates if c.label_id == "l2" and c.interval.end == 10.0)
-        assert not candidate_conflict(i1, c1, c2_short)
-        assert candidate_conflict(i1, c1, c2_full)
+        assert not graph.adjacent(c1.id, c2_short.id)
+        assert graph.adjacent(c1.id, c2_full.id)
 
     def test_no_conflict_entry(self, i1):
         graph = build_graph(i1, AmMode.AM1)
         c1 = next(c for c in graph.candidates if c.label_id == "l1")
         c3 = next(c for c in graph.candidates if c.label_id == "l3")
-        assert not candidate_conflict(i1, c1, c3)
+        assert not graph.adjacent(c1.id, c3.id)
+
+
+def cluster_and_oracle_edges(instance, graph) -> set:
+    """Undirected edges: cluster cliques plus the oracle's conflicting pairs."""
+    edges = {
+        frozenset((u, v))
+        for members in graph.clusters.values()
+        for u in members
+        for v in members
+        if u != v
+    }
+    edges.update(frozenset(p) for p in _conflicting_pairs(instance, graph.candidates))
+    return edges
+
+
+def graph_edges(graph) -> set:
+    return {frozenset((u, v)) for u in range(len(graph)) for v in graph.neighbors(u)}
+
+
+def test_edges_match_oracle():
+    instances = [random_instance(seed) for seed in range(50)]
+    instances += [instance for _, instance in navigation_corpus(3)]
+    for instance in instances:
+        for mode in AmMode:
+            graph = build_graph(instance, mode)
+            edges = graph_edges(graph)
+            assert edges == cluster_and_oracle_edges(instance, graph)
+            assert graph.edge_count == len(edges)
+
+
+def test_zero_length_presence_with_zero_length_conflict():
+    # "b" is present only at t=5, where it touches "a"; it has no candidates
+    instance = Instance(
+        horizon=10.0,
+        labels={lid: Label(lid, 1.0, lid) for lid in ("a", "b")},
+        presences={"a": (TimeInterval(0.0, 10.0),), "b": (TimeInterval(5.0, 5.0),)},
+        conflicts=(ConflictEntry("a", "b", TimeInterval(5.0, 5.0)),),
+    )
+    sizes = []
+    for mode in AmMode:
+        graph = build_graph(instance, mode)
+        assert graph_edges(graph) == cluster_and_oracle_edges(instance, graph)
+        sizes.append((len(graph), graph.edge_count))
+    assert sizes == [(1, 0), (2, 1), (3, 3)]
 

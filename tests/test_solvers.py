@@ -11,7 +11,9 @@ from chronolabel.solvers import (
     GMT,
     Problem,
     Status,
+    _Coverage,
     _GroupSolver,
+    _greedy_selection,
     _label_groups,
     _witness_requirements,
     krmt,
@@ -183,6 +185,16 @@ class TestExact:
                 ]
                 assert solver.cluster_adj == expected
 
+    def test_krmt_am3_stops_at_slice_bound(self):
+        # scenario 21's KRMT optimum meets the slice bound, which proves it
+        instance = nav_scenario(21)
+        for k in (1, 2):
+            result = solve_exact(instance, krmt(k), AmMode.AM3, time_limit=NAV_TIME_LIMIT)
+            assert result.status is Status.OPTIMAL, k
+            assert check_model(instance, result.phi, AmMode.AM3, k=k).valid
+            assert result.objective == pytest.approx(slice_bound(instance, k), rel=1e-9)
+        assert result.objective == pytest.approx(243.652, abs=1e-3)
+
     def test_k_monotone(self):
         for seed in range(10):
             instance = random_instance(seed, max_labels=4, max_conflicts=6)
@@ -234,6 +246,27 @@ class TestGreedy:
                         mode,
                         problem,
                     )
+
+
+    def test_one_pass_matches_repeated_heaviest_pick(self):
+        def repeated_pick(graph, k):
+            alive = set(range(len(graph)))
+            coverage = _Coverage(graph.candidates, k) if k is not None else None
+            selected = set()
+            while alive:
+                pick = min(alive, key=lambda v: (-graph.weight(v), v))
+                selected.add(pick)
+                alive -= graph.neighbors(pick) | {pick}
+                if coverage is not None:
+                    coverage.add(pick)
+                    alive = {v for v in alive if coverage.can_add(v)}
+            return selected
+
+        graphs = [build_graph(random_instance(seed), mode) for seed in range(50) for mode in AmMode]
+        graphs += [build_graph(instance, AmMode.AM1) for _, instance in navigation_corpus(3)]
+        for graph in graphs:
+            for k in (None, 1, 2):
+                assert _greedy_selection(graph, k) == repeated_pick(graph, k)
 
 
 class TestPls:
