@@ -435,10 +435,11 @@ class _GroupSolver:
         self,
         graph: ConflictGraph,
         requirements: Dict[int, List[frozenset]],
-        clusters: List[List[int]],
+        clusters: List[Tuple[int, ...]],
         deadline: _Deadline,
     ):
         self.graph = graph
+        self.weights = [c.weight for c in graph.candidates]
         self.requirements = requirements
         self.deadline = deadline
         self.chosen: set = set()
@@ -453,28 +454,79 @@ class _GroupSolver:
             {self.cluster_of.get(u) for u in graph.neighbors(f)} - {i, None}
             for i, f in enumerate(full)
         ]
-        # clusters holding potential witnesses, per candidate with inner endpoints
-        self.witness_clusters: Dict[int, set] = {}
-        for v, reqs in requirements.items():
-            if reqs and v in self.cluster_of:
-                self.witness_clusters[v] = {
-                    self.cluster_of[u] for _, wit in reqs for u in wit if u in self.cluster_of
-                }
-        # who can witness whom: used to trim memo keys to the part of the
-        # chosen set that can still influence a subproblem
+        self.clusters = clusters
+        self.rank = {v: i for m in clusters for i, v in enumerate(m)}
+        self.pair_best: Dict[Tuple[int, int], float] = {}  # see _pair_best
+        # clusters kept in one component: linked ones, and a candidate's with
+        # those of its potential witnesses.  Who can witness whom also trims
+        # memo keys to the part of the chosen set that can still influence a
+        # subproblem.
+        self.links: List[set] = [set(a) for a in self.cluster_adj]
         self.witnessed_by: Dict[int, set] = {}
         for v, reqs in requirements.items():
+            ci = self.cluster_of.get(v)
             for _, wit in reqs:
                 for u in wit:
                     self.witnessed_by.setdefault(u, set()).add(v)
+                    cj = self.cluster_of.get(u)
+                    if None not in (ci, cj) and ci != cj:
+                        self.links[ci].add(cj)
+                        self.links[cj].add(ci)
         self.memo: Dict[tuple, tuple] = {}
 
     MEMO_LIMIT = 200_000  # entries; keeps worst-case memory in the hundreds of MB
 
+    def _pair_best(self, heads: Tuple[int, int]) -> float:
+        """Heaviest pick from two linked clusters with these heads: a
+        co-selectable pair, or one candidate alone.  What is left of a
+        cluster is a subsequence of its candidates from its head on, so the
+        pick from those tails bounds the pair whatever else was filtered."""
+        weights, neighbors = self.weights, self.graph.neighbors
+        a, b = (self.clusters[self.cluster_of[h]][self.rank[h] :] for h in heads)
+        best = max(weights[a[0]], weights[b[0]])
+        for u in a:
+            if weights[u] + weights[b[0]] <= best:
+                break
+            nb = neighbors(u)
+            for v in b:
+                if weights[u] + weights[v] <= best:
+                    break
+                if v not in nb:
+                    best = weights[u] + weights[v]
+                    break
+        self.pair_best[heads] = best
+        return best
+
+    def _shares(self, avail) -> Dict[int, float]:
+        """Each cluster's share of an upper bound of any selection from
+        ``avail``: the sum of the cluster maxima (tuples are sorted by
+        descending weight), less what disjoint pairs of linked clusters lose
+        against their heaviest co-selectable pick (:meth:`_pair_best`).  The
+        pairs are matched greedily, heaviest loss first; a pair's loss is
+        charged to its first cluster.  Linked clusters share a component, so
+        the shares of a component's clusters bound that component."""
+        weights, pair_best, cluster_adj = self.weights, self.pair_best, self.cluster_adj
+        shares = {ci: weights[m[0]] for ci, m in avail.items()}
+        losses = []
+        for ci, head in shares.items():
+            for cj in cluster_adj[ci]:
+                if cj > ci and cj in shares:
+                    heads = (avail[ci][0], avail[cj][0])
+                    best = pair_best.get(heads)
+                    if best is None:
+                        best = self._pair_best(heads)
+                    loss = head + shares[cj] - best
+                    if loss > 0:
+                        losses.append((loss, ci, cj))
+        matched = set()
+        for loss, ci, cj in sorted(losses, reverse=True):
+            if ci not in matched and cj not in matched:
+                matched.update((ci, cj))
+                shares[ci] -= loss
+        return shares
+
     def _bound(self, avail) -> float:
-        """Sum of the cluster maxima (lists are sorted by descending weight)."""
-        weight = self.graph.weight
-        return sum(weight(m[0]) for m in avail.values())
+        return sum(self._shares(avail).values())
 
     def solve(self, avail: Dict[int, List[int]], musts: List[frozenset], alpha: float):
         """Best (selection, weight) with weight > ``alpha``, else None.
@@ -490,29 +542,38 @@ class _GroupSolver:
             raise _GroupTimeout
         if not avail:
             return (set(), 0.0) if not musts and 0.0 > alpha else None
-        parts = self._components(avail, musts)
-        bounds = [self._bound(pa) for pa, _ in parts]
+        shares = self._shares(avail)
+        if sum(shares.values()) <= alpha:
+            return None
+        witnessed_by = self.witnessed_by
+        witnessing = [u for u in self.chosen if u in witnessed_by]
+        parts = []  # (avail, musts, memo key, memo entry, upper bound)
+        for part_avail, part_musts in self._components(avail, musts):
+            chosen_key = frozenset()
+            if witnessing:
+                part_cands = {v for m in part_avail.values() for v in m}
+                chosen_key = frozenset(
+                    u for u in witnessing if not witnessed_by[u].isdisjoint(part_cands)
+                )
+            key = (frozenset(part_avail.items()), frozenset(part_musts), chosen_key)
+            entry = self.memo.get(key)
+            bound = sum([shares[ci] for ci in part_avail])
+            if entry is not None:
+                # a known optimum or upper bound of the part is tighter
+                bound = entry[1][1] if entry[0] == "exact" else min(bound, entry[1])
+            parts.append((part_avail, part_musts, key, entry, bound))
+        if sum(part[4] for part in parts) <= alpha:
+            return None
+        # the largest part last, where the threshold is tightest
+        parts.sort(key=lambda part: len(part[0]))
         selection: set = set()
         weight = 0.0
-        empty: set = set()
-        for i, (part_avail, part_musts) in enumerate(parts):
+        for i, (part_avail, part_musts, key, entry, _) in enumerate(parts):
             # the other components contribute at most their bounds, so this
             # one must beat the rest of the threshold on its own
-            part_alpha = alpha - weight - sum(bounds[i + 1 :])
-            part_cands = {v for m in part_avail.values() for v in m}
-            chosen_key = frozenset(
-                u
-                for u in self.chosen
-                if not self.witnessed_by.get(u, empty).isdisjoint(part_cands)
-            )
-            key = (
-                frozenset((ci, tuple(m)) for ci, m in part_avail.items()),
-                frozenset(part_musts),
-                chosen_key,
-            )
-            entry = self.memo.get(key)
+            part_alpha = alpha - weight - sum(part[4] for part in parts[i + 1 :])
             if entry is not None and entry[0] == "exact":
-                res = entry[1] if entry[1] is not None and entry[1][1] > part_alpha else None
+                res = entry[1] if entry[1][1] > part_alpha else None
             elif entry is not None and entry[1] <= part_alpha:
                 res = None  # known upper bound already below the threshold
             else:
@@ -547,16 +608,10 @@ class _GroupSolver:
 
         cluster_of = self.cluster_of
         for ci in avail:
-            for cj in self.cluster_adj[ci]:
+            for cj in self.links[ci]:
                 if cj > ci and cj in avail:
                     union(ci, cj)
-        # a selectable candidate must stay with its potential witnesses, and
-        # an open must with the candidates that can still satisfy it
-        for ci, members in avail.items():
-            for v in members:
-                for cj in self.witness_clusters.get(v, ()):
-                    if cj in avail:
-                        union(ci, cj)
+        # an open must stays with the candidates that can still satisfy it
         for wit in musts:
             it = iter(wit)
             first = cluster_of[next(it)]
@@ -571,6 +626,7 @@ class _GroupSolver:
 
     def _branch(self, avail, musts, alpha: float):
         graph = self.graph
+        weights = self.weights
         cluster_of = self.cluster_of
         # branch on the most-connected cluster: removing it decomposes the
         # rest as much as possible
@@ -578,48 +634,50 @@ class _GroupSolver:
         bi = max(keys, key=lambda ci: (len(self.cluster_adj[ci] & keys), -ci))
         rest = {ci: m for ci, m in avail.items() if ci != bi}
         bound_rest = self._bound(rest)
+        sum_rest = sum([weights[m[0]] for m in rest.values()])
         best = None  # (selection, weight)
         best_w = alpha  # floor: only strictly better solutions count
 
         for v in avail[bi]:
-            w = graph.weight(v)
+            w = weights[v]
             if w + bound_rest <= best_w:
                 break  # candidates sorted by weight: the rest is no better
             nb = graph.neighbors(v)
             # only clusters adjacent to the branching cluster can lose
-            # candidates; the rest share their (immutable) lists
+            # candidates; the rest share their (immutable) tuples
             new_avail = dict(rest)
+            bound = w + sum_rest  # the cluster maxima, updated as they drop
             for ci in self.cluster_adj[bi]:
                 m = rest.get(ci)
                 if m is None:
                     continue
-                nm = [u for u in m if u not in nb]
+                nm = tuple([u for u in m if u not in nb])
                 if nm:
                     new_avail[ci] = nm
+                    bound -= weights[m[0]] - weights[nm[0]]
                 else:
                     del new_avail[ci]
-            if w + self._bound(new_avail) <= best_w:
+                    bound -= weights[m[0]]
+            if bound <= best_w:
                 continue  # even with v, the filtered remainder cannot catch up
+            # v's cluster mates are among its neighbours, so this cut drops
+            # the whole branching cluster
             new_musts = []
             ok = True
             for wit in musts:
                 if v in wit:
                     continue  # satisfied
-                cut = frozenset(
-                    u for u in wit if cluster_of[u] != bi and u not in nb
-                )
+                cut = wit - nb
                 if not cut:
                     ok = False
                     break
                 new_musts.append(cut)
             if ok:
                 for _, wit in self.requirements[v]:
-                    if wit & self.chosen:
+                    if not wit.isdisjoint(self.chosen):
                         continue  # already witnessed upstream
                     cut = frozenset(
-                        u
-                        for u in wit
-                        if u in new_avail.get(cluster_of.get(u), ())
+                        u for u in wit if u in new_avail.get(cluster_of.get(u), ())
                     )
                     if not cut:
                         ok = False
@@ -670,7 +728,7 @@ def _solve_group(
     )
     requirements, alive = _witness_requirements(instance, graph, part, mode)
     kept = [
-        sorted((v for v in m if v in alive), key=lambda v: (-graph.weight(v), v))
+        tuple(sorted((v for v in m if v in alive), key=lambda v: (-graph.weight(v), v)))
         for m in clusters
     ]
     kept = [m for m in kept if m]

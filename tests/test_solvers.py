@@ -185,6 +185,52 @@ class TestExact:
                 ]
                 assert solver.cluster_adj == expected
 
+    @staticmethod
+    def _group_solvers(instance, mode):
+        graph = build_graph(instance, mode)
+        for clusters in _label_groups(instance, graph):
+            part = {v for m in clusters for v in m}
+            requirements, alive = _witness_requirements(instance, graph, part, mode)
+            kept = [
+                tuple(sorted((v for v in m if v in alive), key=lambda v: (-graph.weight(v), v)))
+                for m in clusters
+            ]
+            kept = [m for m in kept if m]
+            yield graph, kept, _GroupSolver(graph, requirements, kept, deadline=None)
+
+    @pytest.mark.parametrize("mode", list(AmMode))
+    def test_pair_bound_matches_brute_force(self, mode):
+        instances = [random_instance(seed) for seed in range(25)]
+        instances += [instance for _, instance in navigation_corpus(2)]
+        for instance in instances:
+            for graph, kept, solver in self._group_solvers(instance, mode):
+                for i, j in ((i, j) for i, adj in enumerate(solver.cluster_adj) for j in adj):
+                    for a in range(min(len(kept[i]), 3)):
+                        for b in range(min(len(kept[j]), 3)):
+                            tail_a, tail_b = kept[i][a:], kept[j][b:]
+                            want = max(
+                                [graph.weight(tail_a[0]), graph.weight(tail_b[0])]
+                                + [
+                                    graph.weight(u) + graph.weight(v)
+                                    for u in tail_a
+                                    for v in tail_b
+                                    if not graph.adjacent(u, v)
+                                ]
+                            )
+                            assert solver._pair_best((tail_a[0], tail_b[0])) == want
+
+    @pytest.mark.parametrize("mode", list(AmMode))
+    def test_bound_between_optimum_and_cluster_maxima(self, mode):
+        for _, instance in navigation_corpus(3):
+            bound = maxima = 0.0
+            for graph, kept, solver in self._group_solvers(instance, mode):
+                bound += solver._bound(dict(enumerate(kept)))
+                maxima += sum(graph.weight(m[0]) for m in kept)
+            result = solve_exact(instance, GMT, mode, time_limit=60.0)
+            assert result.status is Status.OPTIMAL
+            assert result.objective <= bound * (1 + 1e-12)
+            assert bound <= maxima * (1 + 1e-12)
+
     def test_krmt_am3_stops_at_slice_bound(self):
         # scenario 21's KRMT optimum meets the slice bound, which proves it
         instance = nav_scenario(21)
