@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence, Union
 
@@ -314,12 +315,19 @@ def load_solution(source: Source) -> ActivitySet:
     return make_activity_set(raw_by_label)
 
 
+def _json_number(x) -> str:
+    # what json.dumps writes, without its encoder setup for the usual float
+    return float.__repr__(x) if isinstance(x, float) and math.isfinite(x) else json.dumps(x)
+
+
 def dump_solution(phi: ActivitySet) -> str:
-    doc = {
-        "activities": [
-            {"label": lid, "start": iv.start, "end": iv.end}
-            for lid in sorted(phi.activities)
-            for iv in phi.activities[lid]
-        ]
-    }
-    return json.dumps(doc, indent=2)
+    """The bytes of ``json.dumps({"activities": [...]}, indent=2)``."""
+    rows = [
+        f'    {{\n      "label": {encode_basestring_ascii(lid)},\n'
+        f'      "start": {_json_number(iv.start)},\n      "end": {_json_number(iv.end)}\n    }}'
+        for lid in sorted(phi.activities)
+        for iv in phi.activities[lid]
+    ]
+    if not rows:
+        return '{\n  "activities": []\n}'
+    return '{\n  "activities": [\n' + ",\n".join(rows) + "\n  ]\n}"

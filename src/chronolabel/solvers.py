@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 import json
 import random
 import sys
@@ -24,7 +25,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .conflict_graph import Candidate, ConflictGraph, SizeLimitExceeded, build_graph
+import numpy as np
+
+from .conflict_graph import ConflictGraph, SizeLimitExceeded, build_graph
 from .model import ActivitySet, Instance, TimeInterval, make_activity_set, objective
 from .validation import AmMode, is_justified, saturate_excluding
 
@@ -126,34 +129,6 @@ def _result(instance, phi, status, started, upper_bound=None) -> SolveResult:
 
 def _empty_phi() -> ActivitySet:
     return make_activity_set({})
-
-
-# ---------------------------------------------------------------------------
-# Elementary-interval coverage bookkeeping (for the k bound)
-
-
-class _Coverage:
-    """Counts, per elementary time slice, how many selected candidates are open."""
-
-    def __init__(self, candidates: Sequence[Candidate], k: int):
-        points = sorted({p for c in candidates for p in (c.interval.start, c.interval.end)})
-        self.k = k
-        self.counts = [0] * max(len(points) - 1, 0)
-        self._slices = {}
-        for c in candidates:
-            lo = bisect.bisect_left(points, c.interval.start)
-            hi = bisect.bisect_left(points, c.interval.end)
-            self._slices[c.id] = (lo, hi)
-
-    def can_add(self, cid: int) -> bool:
-        lo, hi = self._slices[cid]
-        counts = self.counts
-        return all(counts[i] < self.k for i in range(lo, hi))
-
-    def add(self, cid: int) -> None:
-        lo, hi = self._slices[cid]
-        for i in range(lo, hi):
-            self.counts[i] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -825,17 +800,28 @@ def solve_exact(
 def _greedy_selection(graph: ConflictGraph, k: Optional[int], within: Optional[set] = None) -> set:
     """Heaviest candidates first (ties: smallest id), each taken unless an
     earlier pick blocks it or, with ``k``, it would exceed k open at once."""
-    coverage = _Coverage(graph.candidates, k) if k is not None else None
+    blocked = np.zeros(len(graph), dtype=bool)
+    if k is not None:
+        # open picks per elementary slice between candidate endpoints
+        ivs = [(c.interval.start, c.interval.end) for c in graph.candidates]
+        points, slices = np.unique(ivs, return_inverse=True)
+        slices, counts = slices.reshape(-1, 2).tolist(), np.zeros(len(points), dtype=int)
+    pool = np.arange(len(graph)) if within is None else np.fromiter(within, dtype=np.intp)
+    weights = np.array([graph.weight(v) for v in pool])
     selected: set = set()
-    pool = range(len(graph)) if within is None else within
-    for v in sorted(pool, key=lambda v: (-graph.weight(v), v)):
-        if not graph.neighbors(v).isdisjoint(selected):
+    for v in pool[np.lexsort((pool, -weights))].tolist():
+        if blocked[v]:
             continue
-        if coverage is not None:
-            if not coverage.can_add(v):
+        if k is not None:
+            lo, hi = slices[v]
+            if counts[lo:hi].max() >= k:
                 continue
-            coverage.add(v)
+            counts[lo:hi] += 1
         selected.add(v)
+        mates = graph.cluster_of[v]
+        blocked[mates.start : mates.stop] = True
+        for first, row in graph.rows(v):
+            blocked[first : first + len(row)] |= row
     return selected
 
 
@@ -871,48 +857,58 @@ def solve_greedy(
 
 
 class _PlsState:
-    """Independent set with incremental neighbor counts and C0/C1 tracking."""
+    """Independent set with incremental tightness and C0/C1 sets.
+
+    ``tight[v]`` counts v's selected neighbours; C0 and C1 hold the
+    unselected vertices of tightness 0 and 1.  A move reads the neighbour
+    ids of the vertex it moves (``ConflictGraph.neighbor_ids``), which the
+    graph derives from its block rows the first time and keeps.
+    """
 
     def __init__(self, graph: ConflictGraph):
+        n = len(graph)
         self.graph = graph
-        self.in_set = [False] * len(graph)
-        self.neighbors_in = [0] * len(graph)
+        self.weights = [c.weight for c in graph.candidates]
+        # heaviest first, ties by ascending id (the sort is stable)
+        self.order = sorted(range(n), key=self.weights.__getitem__, reverse=True)
+        self.rank = sorted(range(n), key=self.order.__getitem__)  # inverse of order
+        self.tight = [0] * n
         self.selected: set = set()
         self.weight = 0.0
+        self.pools = (set(range(n)), set())  # (C0, C1)
+
+    def _shift(self, v: int, step: int) -> None:
+        # v's neighbours are never selected: the set stays independent
+        tight, pools = self.tight, self.pools
+        for u in self.graph.neighbor_ids(v):
+            t = tight[u]
+            tight[u] = t + step
+            if t < 2:
+                pools[t].discard(u)
+            if t + step < 2:
+                pools[t + step].add(u)
 
     def add(self, v: int) -> None:
-        self.in_set[v] = True
         self.selected.add(v)
-        self.weight += self.graph.weight(v)
-        for u in self.graph.neighbors(v):
-            self.neighbors_in[u] += 1
+        self.weight += self.weights[v]
+        self.pools[0].discard(v)
+        self.pools[1].discard(v)
+        self._shift(v, 1)
 
     def remove(self, v: int) -> None:
-        self.in_set[v] = False
         self.selected.discard(v)
-        self.weight -= self.graph.weight(v)
-        for u in self.graph.neighbors(v):
-            self.neighbors_in[u] -= 1
+        self.weight -= self.weights[v]
+        self._shift(v, -1)
+        if self.tight[v] < 2:
+            self.pools[self.tight[v]].add(v)
 
-    def c0(self) -> List[int]:
-        return [
-            v
-            for v in range(len(self.graph))
-            if not self.in_set[v] and self.neighbors_in[v] == 0
-        ]
-
-    def c1(self) -> List[int]:
-        return [
-            v
-            for v in range(len(self.graph))
-            if not self.in_set[v] and self.neighbors_in[v] == 1
-        ]
-
-    def sole_selected_neighbor(self, v: int) -> int:
-        for u in self.graph.neighbors(v):
-            if self.in_set[u]:
-                return u
-        raise AssertionError("vertex has no selected neighbor")
+    def force(self, v: int) -> List[int]:
+        """Add v after dropping its selected neighbours; returns those."""
+        dropped = [u for u in self.graph.neighbor_ids(v) if u in self.selected]
+        for u in dropped:
+            self.remove(u)
+        self.add(v)
+        return dropped
 
 
 # One PLS cycle, repeated until the budget runs out: (phase, iterations).
@@ -921,15 +917,21 @@ PLS_SCHEDULE = (("greedy", 50), ("penalty", 100), ("greedy", 50))
 PLS_PENALTY_DELAY = 2
 
 
-def _pls_select(pool: List[int], phase: str, penalties: List[int], graph, rng) -> int:
+def _pls_select(state: _PlsState, pool: int, skip: set, phase: str, penalties: List[int], rng):
+    """A random best vertex of C0 or C1 outside ``skip``, or None if there is
+    none.  Ties are drawn in ascending id order, so the seed decides."""
+    free = state.pools[pool] - skip
+    if not free:
+        return None
     if phase == "penalty":
-        best = min(penalties[v] for v in pool)
-        pool = [v for v in pool if penalties[v] == best]
-        return pool[rng.randrange(len(pool))]
-    # greedy: heaviest candidates (weighted-IS adaptation)
-    best_w = max(graph.weight(v) for v in pool)
-    pool = [v for v in pool if graph.weight(v) == best_w]
-    return pool[rng.randrange(len(pool))]
+        best = min(map(penalties.__getitem__, free))
+        ties = sorted(v for v in free if penalties[v] == best)
+    else:  # greedy: the heaviest candidates (weighted-IS adaptation)
+        order, weights = state.order, state.weights
+        i = min(map(state.rank.__getitem__, free))
+        j = bisect.bisect_right(order, -weights[order[i]], lo=i, key=lambda v: -weights[v])
+        ties = [v for v in order[i:j] if v in free]
+    return ties[rng.randrange(len(ties))]
 
 
 def solve_pls(
@@ -952,73 +954,50 @@ def solve_pls(
         return _result(instance, _empty_phi(), Status.FEASIBLE, started)
 
     rng = random.Random(seed)
-    # the wall-clock budget covers the local search itself, not graph setup
+    # the wall-clock budget covers the local search, with the neighbour ids
+    # it derives from the graph's blocks, but not the graph build
     stop_at = time.perf_counter() + params.wall_clock_budget
     state = _PlsState(graph)
     penalties = [0] * n
+    penalized: set = set()  # the vertices with a positive penalty
     penalty_delay = PLS_PENALTY_DELAY
     best: set = set()
     best_weight = 0.0
-    iteration = 0
-
-    def out_of_time() -> bool:
-        return time.perf_counter() >= stop_at
-
-    done = False
-    while not done:
-        for phase, count in PLS_SCHEDULE:
-            for _ in range(count):
-                if out_of_time():
-                    done = True
+    phases = [phase for phase, count in PLS_SCHEDULE for _ in range(count)]
+    for iteration, phase in enumerate(itertools.cycle(phases), 1):
+        if time.perf_counter() >= stop_at:
+            break
+        swapped_out: set = set()
+        while time.perf_counter() < stop_at:
+            v = _pls_select(state, 0, swapped_out, phase, penalties, rng)
+            if v is not None:
+                state.add(v)
+                swapped_out.clear()
+            else:  # plateau: swap in a vertex with one selected neighbour
+                v = _pls_select(state, 1, swapped_out, phase, penalties, rng)
+                if v is None:
                     break
-                swapped_out: set = set()
-                while True:
-                    pool = [v for v in state.c0() if v not in swapped_out]
-                    while pool:
-                        v = _pls_select(pool, phase, penalties, graph, rng)
-                        state.add(v)
-                        swapped_out.clear()
-                        if state.weight > best_weight:
-                            best_weight = state.weight
-                            best = set(state.selected)
-                        pool = [u for u in state.c0() if u not in swapped_out]
-                        if out_of_time():
-                            break
-                    if out_of_time():
-                        break
-                    plateau = [v for v in state.c1() if v not in swapped_out]
-                    if not plateau:
-                        break
-                    v = _pls_select(plateau, phase, penalties, graph, rng)
-                    u = state.sole_selected_neighbor(v)
-                    state.remove(u)
-                    state.add(v)
-                    swapped_out.add(u)
-                    if state.weight > best_weight:
-                        best_weight = state.weight
-                        best = set(state.selected)
-                # penalize the vertices held at the end of the iteration
-                for v in state.selected:
-                    penalties[v] += 1
-                iteration += 1
-                if iteration % penalty_delay == 0:
-                    for v in range(n):
-                        if penalties[v] > 0:
-                            penalties[v] -= 1
-                penalized = sum(1 for p in penalties if p > 0)
-                if penalized > 0.75 * n:
-                    penalty_delay += 1
-                else:
-                    penalty_delay = max(1, penalty_delay - 1)
-                # perturbation: force one random vertex into the set
-                v = rng.randrange(n)
-                if not state.in_set[v]:
-                    for u in list(state.selected):
-                        if graph.adjacent(u, v):
-                            state.remove(u)
-                    state.add(v)
-            if done:
-                break
+                swapped_out.update(state.force(v))
+            if state.weight > best_weight:
+                best_weight = state.weight
+                best = set(state.selected)
+        # penalize the vertices held at the end of the iteration
+        for v in state.selected:
+            penalties[v] += 1
+        penalized |= state.selected
+        if iteration % penalty_delay == 0:
+            for v in list(penalized):
+                penalties[v] -= 1
+                if not penalties[v]:
+                    penalized.discard(v)
+        if len(penalized) > 0.75 * n:
+            penalty_delay += 1
+        else:
+            penalty_delay = max(1, penalty_delay - 1)
+        # perturbation: force one random vertex into the set
+        v = rng.randrange(n)
+        if v not in state.selected:
+            state.force(v)
 
     selection = repair_selection(instance, graph, best, mode)
     phi = graph.to_activity_set(selection)

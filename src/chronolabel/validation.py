@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .model import ActivitySet, Instance, IntegrityError, TimeInterval
 
 
@@ -206,28 +208,31 @@ def saturate_excluding(instance, graph, selection: set) -> set:
     with no selected candidate stays empty.
     """
     selected = set(selection)
+    crossed = np.zeros(len(graph), dtype=np.int32)  # selected cross neighbours
+
+    def mark(v: int, step: int) -> None:
+        for first, row in graph.rows(v):
+            view = crossed[first : first + len(row)]
+            (np.add if step > 0 else np.subtract)(view, row, out=view)
+
     for v in selected:
-        clash = graph.neighbors(v) & selected
-        if clash:
-            raise IntegrityError(f"selection is not independent: {min(clash)} ~ {v}")
+        mark(v, 1)
+    clusters = [graph.cluster_of[v].start for v in selected]
+    if any(crossed[v] for v in selected) or len(set(clusters)) < len(clusters):
+        raise IntegrityError("selection is not independent")
     while True:
-        best = None  # (gain, incoming id, outgoing id)
-        for v in selected:
-            cand_v = graph.candidates[v]
-            for u in graph.clusters[cand_v.cluster_key]:
-                if u in selected:
-                    continue
-                gain = graph.candidates[u].weight - cand_v.weight
-                if gain <= 0:
-                    continue
-                # u is a cluster-mate of v, so v is among its selected neighbours
-                if not graph.neighbors(u) & selected <= {v}:
-                    continue
-                key = (-gain, u)
-                if best is None or key < (-best[0], best[1]):
-                    best = (gain, u, v)
-        if best is None:
+        # v is u's only selected cluster mate, so crossed[u] decides; the
+        # largest gain first, then the smallest incoming id
+        swaps = [
+            (graph.weight(v) - graph.weight(u), u, v)
+            for v in selected
+            for u in graph.cluster_of[v]
+            if graph.weight(u) > graph.weight(v) and not crossed[u]
+        ]
+        if not swaps:
             return selected
-        _, incoming, outgoing = best
+        _, incoming, outgoing = min(swaps)
         selected.remove(outgoing)
         selected.add(incoming)
+        mark(outgoing, -1)
+        mark(incoming, 1)

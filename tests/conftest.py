@@ -1,8 +1,11 @@
+import functools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from chronolabel.cli import apply_min_activity
+from chronolabel.conflict_graph import build_graph
 from chronolabel.model import (
     ConflictEntry,
     Instance,
@@ -11,6 +14,7 @@ from chronolabel.model import (
     complexity,
 )
 from chronolabel.scenario import extract_instance, synthesize_scenario
+from chronolabel.validation import AmMode
 
 NAV_COMPLEXITY = (100, 3000)
 
@@ -111,3 +115,24 @@ def navigation_corpus(size: int) -> list:
             corpus.append((seed, instance))
         seed += 1
     return corpus
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_graph(index: int, mode: AmMode) -> tuple:
+    instance = navigation_corpus(index + 1)[index][1]
+    return instance, build_graph(instance, mode)
+
+
+def instance_graphs(modes=tuple(AmMode)):
+    """``(instance, graph)`` of a random instance or of one of the first two
+    navigation-corpus instances, in one of ``modes``."""
+
+    def random_graph(seed: int, mode: AmMode) -> tuple:
+        instance = random_instance(seed)
+        return instance, build_graph(instance, mode)
+
+    modes = st.sampled_from(modes)
+    return st.one_of(
+        st.builds(random_graph, st.integers(0, 10**6), modes),
+        st.builds(_corpus_graph, st.integers(0, 1), modes),
+    )

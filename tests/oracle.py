@@ -67,6 +67,56 @@ def brute_force_mwis(items: List[Tuple[TimeInterval, float]]) -> float:
     return best
 
 
+def _open_at_once(intervals) -> int:
+    """Most closed intervals sharing an open stretch of time."""
+    points = sorted({p for iv in intervals for p in (iv.start, iv.end)})
+    return max(
+        (sum(1 for iv in intervals if iv.start < 0.5 * (lo + hi) < iv.end) for lo, hi in zip(points, points[1:])),
+        default=0,
+    )
+
+
+def greedy_reference(graph, k: Optional[int] = None) -> set:
+    """Repeated heaviest pick (ties: smallest id) over ``neighbors()``: each
+    pick drops its neighbours and, with ``k``, every candidate that would
+    then make more than ``k`` picks open at once."""
+    alive = set(range(len(graph)))
+    selected: set = set()
+    while alive:
+        pick = min(alive, key=lambda v: (-graph.weight(v), v))
+        selected.add(pick)
+        alive -= graph.neighbors(pick) | {pick}
+        if k is not None:
+            picked = [graph.candidates[u].interval for u in selected]
+            alive = {v for v in alive if _open_at_once(picked + [graph.candidates[v].interval]) <= k}
+    return selected
+
+
+def saturate_reference(graph, selection) -> set:
+    """Best same-cluster swap (largest gain, then smallest incoming id) until
+    none gains, with every test a set operation over ``neighbors()``."""
+    selected = set(selection)
+    while True:
+        swaps = [
+            (graph.weight(v) - graph.weight(u), u, v)
+            for u in selected
+            for members in [graph.clusters[graph.candidates[u].cluster_key]]
+            for v in members
+            if graph.weight(v) > graph.weight(u) and graph.neighbors(v) & selected == {u}
+        ]
+        if not swaps:
+            return selected
+        _, u, v = min(swaps, key=lambda s: (-s[0], s[2]))
+        selected = (selected - {u}) | {v}
+
+
+def pls_rescan(graph, selected) -> tuple:
+    """(selected-neighbour count per vertex, C0, C1) recomputed from scratch."""
+    tight = [len(graph.neighbors(v) & selected) for v in range(len(graph))]
+    free = [v for v in range(len(graph)) if v not in selected]
+    return tight, {v for v in free if tight[v] == 0}, {v for v in free if tight[v] == 1}
+
+
 def _conflicting_pairs(instance: Instance, candidates) -> set:
     """Candidate id pairs whose open overlap meets a conflict of their labels."""
     by_label: Dict[str, list] = {}

@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronolabel.model import (
     ActivitySet,
@@ -12,6 +15,7 @@ from chronolabel.model import (
     TimeInterval,
     complexity,
     dump_instance,
+    dump_solution,
     load_instance,
     load_solution,
     make_activity_set,
@@ -225,3 +229,37 @@ def test_conflict_index_matches_scan():
                 got = instance.conflicts_between(a, b)
                 assert isinstance(got, tuple)
                 assert list(got) == scan, (a, b)
+
+
+_TIMES = st.one_of(
+    st.integers(0, 10**9),
+    st.floats(0, 1e9, allow_nan=False),
+    st.floats(0, 1e9, allow_nan=False).map(np.float64),
+)
+_LABEL_IDS = st.one_of(st.text(max_size=8), st.sampled_from(['"', "\\", 'a"b\\c', "é", "☃", "\x00\n"]))
+
+
+def _disjoint_intervals(times) -> list:
+    # distinct values in ascending order, paired up: [t0, t1], [t2, t3], ...
+    points = []
+    for t in sorted(times):
+        if not points or t > points[-1]:
+            points.append(t)
+    return [TimeInterval(a, b) for a, b in zip(points[::2], points[1::2])]
+
+
+@settings(max_examples=300, deadline=None)
+@example(raw={})
+@given(st.dictionaries(_LABEL_IDS, st.lists(_TIMES, max_size=6), max_size=4))
+def test_dump_solution_bytes_match_json_dumps(raw):
+    phi = make_activity_set({lid: _disjoint_intervals(times) for lid, times in raw.items()})
+    doc = {
+        "activities": [
+            {"label": lid, "start": iv.start, "end": iv.end}
+            for lid in sorted(phi.activities)
+            for iv in phi.activities[lid]
+        ]
+    }
+    text = dump_solution(phi)
+    assert text == json.dumps(doc, indent=2)
+    assert load_solution(text) == phi

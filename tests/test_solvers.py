@@ -2,17 +2,19 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolabel.cli import apply_min_activity
-from chronolabel.conflict_graph import build_graph
+from chronolabel.conflict_graph import ConflictGraph, build_graph
 from chronolabel.model import TimeInterval, load_instance, make_activity_set, objective
 from chronolabel.scenario import extract_instance, synthesize_scenario
 from chronolabel.solvers import (
     GMT,
     Problem,
     Status,
-    _Coverage,
     _GroupSolver,
+    _PlsState,
     _greedy_selection,
     _label_groups,
     _witness_requirements,
@@ -25,8 +27,15 @@ from chronolabel.solvers import (
 )
 from chronolabel.validation import AmMode, check_model
 
-from conftest import navigation_corpus, random_instance
-from oracle import brute_force_mwis, enumerate_optima, enumeration_search_space, milp_gmt
+from conftest import instance_graphs, navigation_corpus, random_instance
+from oracle import (
+    brute_force_mwis,
+    enumerate_optima,
+    enumeration_search_space,
+    greedy_reference,
+    milp_gmt,
+    pls_rescan,
+)
 
 # First navigation-corpus instances cross-checked against the MILP oracle;
 # HiGHS needs about 12 s for their 36 GMT solves on a 2-CPU host.
@@ -295,24 +304,38 @@ class TestGreedy:
 
 
     def test_one_pass_matches_repeated_heaviest_pick(self):
-        def repeated_pick(graph, k):
-            alive = set(range(len(graph)))
-            coverage = _Coverage(graph.candidates, k) if k is not None else None
-            selected = set()
-            while alive:
-                pick = min(alive, key=lambda v: (-graph.weight(v), v))
-                selected.add(pick)
-                alive -= graph.neighbors(pick) | {pick}
-                if coverage is not None:
-                    coverage.add(pick)
-                    alive = {v for v in alive if coverage.can_add(v)}
-            return selected
-
         graphs = [build_graph(random_instance(seed), mode) for seed in range(50) for mode in AmMode]
         graphs += [build_graph(instance, AmMode.AM1) for _, instance in navigation_corpus(3)]
         for graph in graphs:
             for k in (None, 1, 2):
-                assert _greedy_selection(graph, k) == repeated_pick(graph, k)
+                assert _greedy_selection(graph, k) == greedy_reference(graph, k)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance_graph=instance_graphs())
+    def test_matches_reference(self, instance_graph):
+        _, graph = instance_graph
+        assert _greedy_selection(graph, None) == greedy_reference(graph, None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance_graph=instance_graphs(modes=(AmMode.AM1,)), k=st.integers(1, 3))
+    def test_k_bound_matches_reference(self, instance_graph, k):
+        # KRMT greedy runs on the AM1 graph
+        _, graph = instance_graph
+        assert _greedy_selection(graph, k) == greedy_reference(graph, k)
+
+
+def test_heuristics_never_derive_neighbor_sets(monkeypatch):
+    def refuse(graph, v):
+        raise AssertionError("neighbors() called")
+
+    instance = nav_scenario(21)
+    monkeypatch.setattr(ConflictGraph, "neighbors", refuse)
+    for result in (
+        solve_greedy(instance, GMT, AmMode.AM3),
+        solve_pls(instance, GMT, AmMode.AM3),
+    ):
+        assert check_model(instance, result.phi, AmMode.AM3).valid
 
 
 class TestPls:
@@ -344,6 +367,30 @@ class TestPls:
             for iv in ivs
         )
         assert result.objective == total
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance_graph=instance_graphs(), moves_seed=st.integers(0, 2**32 - 1))
+    def test_bookkeeping_matches_rescan(self, instance_graph, moves_seed):
+        _, graph = instance_graph
+        rng = random.Random(moves_seed)
+        state = _PlsState(graph)
+        for _ in range(60):
+            c0, c1, selected = (sorted(s) for s in (*state.pools, state.selected))
+            move = rng.choice(["add", "add", "remove", "swap", "force"])
+            if move == "add" and c0:
+                state.add(rng.choice(c0))
+            elif move == "remove" and selected:
+                state.remove(rng.choice(selected))
+            elif move == "swap" and c1:  # the plateau move
+                assert len(state.force(rng.choice(c1))) == 1
+            elif move == "force" and len(graph):
+                v = rng.randrange(len(graph))
+                if v not in state.selected:
+                    state.force(v)
+            tight, want_c0, want_c1 = pls_rescan(graph, state.selected)
+            assert state.tight == tight
+            assert state.pools == (want_c0, want_c1)
+            assert state.weight == pytest.approx(graph.selection_weight(state.selected))
 
     def test_outputs_model_valid(self):
         for seed in range(20):

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronolabel.conflict_graph import build_graph
 from chronolabel.model import IntegrityError, TimeInterval, make_activity_set, objective
@@ -13,7 +16,8 @@ from chronolabel.validation import (
     saturate_excluding,
 )
 
-from conftest import random_instance
+from conftest import instance_graphs, random_instance
+from oracle import saturate_reference
 
 
 def phi_of(**kwargs):
@@ -254,3 +258,24 @@ class TestSaturate:
 
         repaired = repair_selection(instance, graph, saturated, AmMode.AM3)
         assert check_model(instance, graph.to_activity_set(repaired), AmMode.AM3).valid
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance_graph=instance_graphs(), shuffle_seed=st.integers(0, 2**32 - 1))
+def test_saturation_properties(instance_graph, shuffle_seed):
+    instance, graph = instance_graph
+    rng = random.Random(shuffle_seed)
+    order = list(range(len(graph)))
+    rng.shuffle(order)
+    selection = set()
+    for v in order:  # a random independent set, thinned to leave room for swaps
+        if graph.neighbors(v).isdisjoint(selection) and rng.random() < 0.7:
+            selection.add(v)
+    out = saturate_excluding(instance, graph, selection)
+    assert all(graph.neighbors(v).isdisjoint(out) for v in out)
+
+    def weight(sel) -> float:  # exact, whatever order the set is summed in
+        return math.fsum(graph.weight(v) for v in sel)
+
+    assert weight(out) >= weight(selection)
+    assert out == saturate_reference(graph, selection)
