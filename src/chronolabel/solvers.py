@@ -748,9 +748,14 @@ def _solve_krmt(
     if len(full) == len(graph) or graph.selection_weight(best) >= reached:
         return best, True, bound
     requirements, alive = _witness_requirements(instance, graph, set(range(len(graph))), mode)
-    prefixes = {v for v in alive if graph.candidates[v].interval.start == presence(v).start}
-    for part in (prefixes, alive) if mode is AmMode.AM3 else (alive,):
-        wider = _k_sweep(graph, part, requirements, k, deadline)
+    parts = [(alive, requirements)]
+    if mode is AmMode.AM3:
+        # a prefix candidate whose witnesses all start later is never
+        # justified among prefixes: the fixpoint over them is the AM2 one
+        prefixes = {v for v in alive if graph.candidates[v].interval.start == presence(v).start}
+        parts.insert(0, _witness_requirements(instance, graph, prefixes, mode)[::-1])
+    for part, part_requirements in parts:
+        wider = _k_sweep(graph, part, part_requirements, k, deadline)
         if wider is None:
             return best, False, bound
         best = wider
