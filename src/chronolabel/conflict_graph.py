@@ -12,6 +12,7 @@ two labels are in conflict somewhere in the open overlap of the candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -42,6 +43,8 @@ class Candidate:
 class ConflictGraph:
     """Immutable candidate graph for one instance and activity model.
 
+    Candidates are columns indexed by id: ``starts``, ``ends``, ``weights``,
+    ``label_ids``, ``presence_indices``; ``candidates`` is made on first access.
     No edge list is kept.  A cluster is a contiguous id range, and
     ``cluster_of[v]`` is the range of v's cluster: cluster mates are
     adjacent implicitly.  Cross edges are one boolean block per conflicting
@@ -52,35 +55,48 @@ class ConflictGraph:
     def __init__(
         self,
         mode: AmMode,
-        candidates: List[Candidate],
+        columns: Tuple[List[float], List[float], List[float], List[str], List[int]],
         clusters: Dict[tuple, List[int]],
         blocks: Dict[Tuple[str, str], np.ndarray],
         edge_count: int,
     ):
         self.mode = mode
-        self.candidates = candidates
+        self.starts, self.ends, self.weights, self.label_ids, self.presence_indices = columns
         self.clusters = clusters
         self.edge_count = edge_count
-        self.cluster_of: List[range] = [range(0)] * len(candidates)
+        self.cluster_of: List[range] = [range(0)] * len(self.starts)
         self._first: Dict[str, int] = {}  # label -> its first candidate id
         for members in clusters.values():
             if members:
                 ids = range(members[0], members[-1] + 1)
                 self.cluster_of[ids.start : ids.stop] = [ids] * len(ids)
-                self._first.setdefault(candidates[ids.start].label_id, ids.start)
+                self._first.setdefault(self.label_ids[ids.start], ids.start)
         self._rows: Dict[str, List[Tuple[int, np.ndarray]]] = {}
         for (a, b), block in blocks.items():
             self._rows.setdefault(a, []).append((self._first[b], block))
             self._rows.setdefault(b, []).append((self._first[a], block.T))
-        self._ids: List[Optional[List[int]]] = [None] * len(candidates)
-        self._neighbors: List[Optional[Set[int]]] = [None] * len(candidates)
+        self._ids: List[Optional[List[int]]] = [None] * len(self.starts)
+        self._neighbors: List[Optional[Set[int]]] = [None] * len(self.starts)
+        self._intervals: List[Optional[TimeInterval]] = [None] * len(self.starts)  # on request
+        self._candidates: Optional[List[Candidate]] = None
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.starts)
+
+    @property
+    def candidates(self) -> List[Candidate]:
+        """The columns as one :class:`Candidate` per id, made once."""
+        if self._candidates is None:
+            rows = zip(self.starts, self.ends, self.weights, self.label_ids, self.presence_indices)
+            self._candidates = [
+                Candidate(v, lid, pi, TimeInterval(s, t), w)
+                for v, (s, t, w, lid, pi) in enumerate(rows)
+            ]
+        return self._candidates
 
     def rows(self, v: int) -> List[Tuple[int, np.ndarray]]:
         """v's block rows: (first, row) means v ~ first + j iff row[j]."""
-        lid = self.candidates[v].label_id
+        lid = self.label_ids[v]
         i = v - self._first[lid]
         return [(first, block[i]) for first, block in self._rows.get(lid, ())]
 
@@ -110,30 +126,22 @@ class ConflictGraph:
         return out
 
     def weight(self, v: int) -> float:
-        return self.candidates[v].weight
+        return self.weights[v]
+
+    def interval(self, v: int) -> TimeInterval:
+        iv = self._intervals[v]
+        if iv is None:
+            iv = self._intervals[v] = TimeInterval(self.starts[v], self.ends[v])
+        return iv
 
     def selection_weight(self, selection) -> float:
-        return sum(self.candidates[v].weight for v in selection)
+        return sum(self.weights[v] for v in selection)
 
     def to_activity_set(self, selection) -> ActivitySet:
         raw: Dict[str, list] = {}
         for v in selection:
-            c = self.candidates[v]
-            raw.setdefault(c.label_id, []).append(c.interval)
+            raw.setdefault(self.label_ids[v], []).append(self.interval(v))
         return make_activity_set(raw)
-
-
-def _candidate_intervals(
-    presence: TimeInterval, conflicts_inside: List[TimeInterval], mode: AmMode
-) -> List[TimeInterval]:
-    if mode is AmMode.AM1:
-        return [presence] if presence.length > 0 else []
-    starts = {presence.start}
-    if mode is AmMode.AM3:
-        starts.update(c.end for c in conflicts_inside)
-    ends = {presence.end}
-    ends.update(c.start for c in conflicts_inside)
-    return [TimeInterval(s, t) for s, t in sorted((s, t) for s in starts for t in ends if s < t)]
 
 
 def build_graph(instance: Instance, mode: AmMode) -> ConflictGraph:
@@ -142,43 +150,44 @@ def build_graph(instance: Instance, mode: AmMode) -> ConflictGraph:
     Raises SizeLimitExceeded once the vertex or edge count would pass
     ``SIZE_LIMIT``.
     """
-    candidates: List[Candidate] = []
+    rows: List[tuple] = []  # (start, end, weight, label id, presence index) per id
     clusters: Dict[tuple, List[int]] = {}
     span: Dict[str, slice] = {}  # label -> its candidate ids, if it has any
     for lid in sorted(instance.presences):
-        label = instance.labels[lid]
-        first = len(candidates)
+        weight = instance.labels[lid].weight
+        first = len(rows)
         for pi, presence in enumerate(instance.presences_of(lid)):
-            inside = [iv for _, iv in instance.conflicts_of(lid) if presence.contains(iv)]
-            members = clusters[lid, pi] = []
-            for interval in _candidate_intervals(presence, inside, mode):
-                members.append(len(candidates))
-                candidates.append(
-                    Candidate(len(candidates), lid, pi, interval, interval.length * label.weight)
-                )
-                if len(candidates) > SIZE_LIMIT:
-                    raise SizeLimitExceeded(f"more than {SIZE_LIMIT} candidates")
-        if len(candidates) > first:
-            span[lid] = slice(first, len(candidates))
+            opens, closes = {presence.start}, {presence.end}
+            if mode is not AmMode.AM1:
+                for _, iv in instance.conflicts_of(lid):
+                    if presence.contains(iv):
+                        closes.add(iv.start)
+                        if mode is AmMode.AM3:
+                            opens.add(iv.end)
+            pairs = sorted((s, t) for s in opens for t in closes if s < t)
+            clusters[lid, pi] = list(range(len(rows), len(rows) + len(pairs)))
+            rows += [(s, t, (t - s) * weight, lid, pi) for s, t in pairs]
+            if len(rows) > SIZE_LIMIT:
+                raise SizeLimitExceeded(f"more than {SIZE_LIMIT} candidates")
+        if len(rows) > first:
+            span[lid] = slice(first, len(rows))
+    columns = tuple(map(list, zip(*rows))) or ([], [], [], [], [])
 
     # Cross edges, one boolean block per conflicting label pair: a pair of
     # candidates is adjacent iff their open overlap (lo, hi) is non-empty and
     # meets a conflict of the two labels.  Edges are counted as blocks are
     # made, so the guard aborts before a large graph is kept.
-    starts = np.array([c.interval.start for c in candidates])
-    ends = np.array([c.interval.end for c in candidates])
+    start_at, end_at = np.array(columns[0]), np.array(columns[1])
     edge_count = sum(len(m) * (len(m) - 1) // 2 for m in clusters.values())
     blocks: Dict[Tuple[str, str], np.ndarray] = {}
     for a, b in sorted({e.pair for e in instance.conflicts}):
         if a not in span or b not in span:
             continue
         sa, sb = span[a], span[b]
-        lo = np.maximum.outer(starts[sa], starts[sb])
-        hi = np.minimum.outer(ends[sa], ends[sb])
-        meets = np.zeros(lo.shape, dtype=bool)
-        for conflict in instance.conflicts_between(a, b):
-            meets |= (conflict.start < hi) & (conflict.end > lo)
-        meets &= lo < hi
+        lo = np.maximum.outer(start_at[sa], start_at[sb])
+        hi = np.minimum.outer(end_at[sa], end_at[sb])
+        hits = [(c.start < hi) & (c.end > lo) for c in instance.conflicts_between(a, b)]
+        meets = reduce(np.logical_or, hits) & (lo < hi)
         count = int(np.count_nonzero(meets))
         edge_count += count
         if edge_count > SIZE_LIMIT:
@@ -187,4 +196,4 @@ def build_graph(instance: Instance, mode: AmMode) -> ConflictGraph:
             blocks[a, b] = meets
     if edge_count > SIZE_LIMIT:
         raise SizeLimitExceeded(f"more than {SIZE_LIMIT} edges")
-    return ConflictGraph(mode, candidates, clusters, blocks, edge_count)
+    return ConflictGraph(mode, columns, clusters, blocks, edge_count)

@@ -149,11 +149,10 @@ def _unjustified_candidates(
     phi = graph.to_activity_set(selection)
     bad = []
     for v in selection:
-        c = graph.candidates[v]
-        presence = instance.presences_of(c.label_id)[c.presence_index]
-        start_ok, end_ok = is_justified(instance, phi, c.label_id, c.interval)
+        lid, interval = graph.label_ids[v], graph.interval(v)
+        start_ok, end_ok = is_justified(instance, phi, lid, interval)
         if mode is AmMode.AM2:
-            start_ok = c.interval.start == presence.start
+            start_ok = interval.start == instance.presences_of(lid)[graph.presence_indices[v]].start
         if not (start_ok and end_ok):
             bad.append(v)
     return bad
@@ -213,7 +212,7 @@ def _witness_requirements(
     while True:
         by_label: Dict[str, List[int]] = {}
         for v in alive:
-            by_label.setdefault(graph.candidates[v].label_id, []).append(v)
+            by_label.setdefault(graph.label_ids[v], []).append(v)
 
         def witnesses(v: int, partners: List[str], t: float) -> frozenset:
             # a witness must cover the endpoint AND be co-selectable with v
@@ -222,19 +221,17 @@ def _witness_requirements(
                 u
                 for other in partners
                 for u in by_label.get(other, ())
-                if u not in adj_v
-                and graph.candidates[u].interval.start <= t <= graph.candidates[u].interval.end
+                if u not in adj_v and graph.starts[u] <= t <= graph.ends[u]
             )
 
         requirements: Dict[int, List[frozenset]] = {}
         dead = []
         for v in alive:
-            c = graph.candidates[v]
-            presence = instance.presences_of(c.label_id)[c.presence_index]
+            presence = instance.presences_of(graph.label_ids[v])[graph.presence_indices[v]]
             reqs = []
             usable = True
-            conflicts = instance.conflicts_of(c.label_id)
-            start, end = c.interval.start, c.interval.end
+            conflicts = instance.conflicts_of(graph.label_ids[v])
+            start, end = graph.starts[v], graph.ends[v]
             if mode is AmMode.AM3 and start != presence.start:
                 wit = witnesses(v, [other for other, iv in conflicts if iv.end == start], start)
                 if wit:
@@ -275,18 +272,17 @@ def _k_sweep(
     witness open (every witness covers t), then closes those ending at t.
     Returns None when the deadline strikes first.
     """
-    cands = graph.candidates
     # time -> (starting, ending, (candidate, witnesses) checks, expiring clusters)
     events: Dict[float, tuple] = defaultdict(lambda: ([], [], [], []))
-    cluster = {v: cands[v].cluster_key for v in part}
+    cluster = {v: (graph.label_ids[v], graph.presence_indices[v]) for v in part}
     last_start: Dict[tuple, float] = {}
     for v in sorted(part):
-        iv = cands[v].interval
-        events[iv.start][0].append(v)
-        events[iv.end][1].append(v)
+        start = graph.starts[v]
+        events[start][0].append(v)
+        events[graph.ends[v]][1].append(v)
         for t, wit in requirements.get(v, ()):
             events[t][2].append((v, wit))
-        last_start[cluster[v]] = max(last_start.get(cluster[v], iv.start), iv.start)
+        last_start[cluster[v]] = max(last_start.get(cluster[v], start), start)
     for key, t in last_start.items():
         events[t][3].append(key)
 
@@ -295,7 +291,7 @@ def _k_sweep(
     for t in sorted(events):
         starting, ending, checks, expiring = events[t]
         for v in starting:
-            adj, mine, w = graph.neighbors(v), cluster[v], cands[v].weight
+            adj, mine, w = graph.neighbors(v), cluster[v], graph.weights[v]
             grown = []
             for n, level in levels.items():
                 if n - len(ending) >= k:
@@ -347,14 +343,19 @@ def _slice_bound(instance: Instance, k: int) -> float:
     Between consecutive presence endpoints at most the ``k`` heaviest labels
     present can be active, so the bound sums slice length times their weights.
     """
-    presences = [
-        (iv, instance.labels[lid].weight) for lid, ivs in instance.presences.items() for iv in ivs
-    ]
-    points = sorted({p for iv, _ in presences for p in (iv.start, iv.end)})
+    opens, closes = defaultdict(list), defaultdict(list)  # time -> weights opening, closing
+    for lid, ivs in instance.presences.items():
+        for iv in ivs:
+            opens[iv.start].append(instance.labels[lid].weight)
+            closes[iv.end].append(instance.labels[lid].weight)
+    points = sorted(opens.keys() | closes.keys())
+    present: List[float] = []  # weights of the presences over the slice
     total = 0.0
     for lo, hi in zip(points, points[1:]):
-        weights = sorted((w for iv, w in presences if iv.start <= lo and hi <= iv.end), reverse=True)
-        total += (hi - lo) * sum(weights[:k])
+        present += opens.get(lo, ())
+        for w in closes.get(lo, ()):
+            present.remove(w)
+        total += (hi - lo) * sum(sorted(present, reverse=True)[:k])
     return total
 
 
@@ -414,7 +415,7 @@ class _GroupSolver:
         deadline: _Deadline,
     ):
         self.graph = graph
-        self.weights = [c.weight for c in graph.candidates]
+        self.weights = graph.weights
         self.requirements = requirements
         self.deadline = deadline
         self.chosen: set = set()
@@ -423,8 +424,8 @@ class _GroupSolver:
         # candidate adjacency but cheap to intersect per node.  A cluster's
         # full-presence candidate (earliest start, latest end) contains every
         # cluster-mate, so it meets every cluster that any of them meets.
-        ivs = [c.interval for c in graph.candidates]
-        full = [min(m, key=lambda v: (ivs[v].start, -ivs[v].end)) for m in clusters]
+        starts, ends = graph.starts, graph.ends
+        full = [min(m, key=lambda v: (starts[v], -ends[v])) for m in clusters]
         self.cluster_adj: List[set] = [
             {self.cluster_of.get(u) for u in graph.neighbors(f)} - {i, None}
             for i, f in enumerate(full)
@@ -738,10 +739,9 @@ def _solve_krmt(
     reached = bound * (1 - 1e-9)  # equal sums may round differently
 
     def presence(v: int) -> TimeInterval:
-        c = graph.candidates[v]
-        return instance.presences_of(c.label_id)[c.presence_index]
+        return instance.presences_of(graph.label_ids[v])[graph.presence_indices[v]]
 
-    full = {v for v in range(len(graph)) if graph.candidates[v].interval == presence(v)}
+    full = {v for v in range(len(graph)) if graph.interval(v) == presence(v)}
     best = _k_sweep(graph, full, {}, k, deadline)
     if best is None:
         return _greedy_selection(graph, k, within=full), False, bound
@@ -752,7 +752,7 @@ def _solve_krmt(
     if mode is AmMode.AM3:
         # a prefix candidate whose witnesses all start later is never
         # justified among prefixes: the fixpoint over them is the AM2 one
-        prefixes = {v for v in alive if graph.candidates[v].interval.start == presence(v).start}
+        prefixes = {v for v in alive if graph.starts[v] == presence(v).start}
         parts.insert(0, _witness_requirements(instance, graph, prefixes, mode)[::-1])
     for part, part_requirements in parts:
         wider = _k_sweep(graph, part, part_requirements, k, deadline)
@@ -808,11 +808,10 @@ def _greedy_selection(graph: ConflictGraph, k: Optional[int], within: Optional[s
     blocked = np.zeros(len(graph), dtype=bool)
     if k is not None:
         # open picks per elementary slice between candidate endpoints
-        ivs = [(c.interval.start, c.interval.end) for c in graph.candidates]
-        points, slices = np.unique(ivs, return_inverse=True)
-        slices, counts = slices.reshape(-1, 2).tolist(), np.zeros(len(points), dtype=int)
+        points, slices = np.unique([graph.starts, graph.ends], return_inverse=True)
+        slices, counts = slices.reshape(2, -1).T.tolist(), np.zeros(len(points), dtype=int)
     pool = np.arange(len(graph)) if within is None else np.fromiter(within, dtype=np.intp)
-    weights = np.array([graph.weight(v) for v in pool])
+    weights = np.array(graph.weights if within is None else [graph.weights[v] for v in within])
     selected: set = set()
     for v in pool[np.lexsort((pool, -weights))].tolist():
         if blocked[v]:
@@ -873,7 +872,7 @@ class _PlsState:
     def __init__(self, graph: ConflictGraph):
         n = len(graph)
         self.graph = graph
-        self.weights = [c.weight for c in graph.candidates]
+        self.weights = graph.weights
         # heaviest first, ties by ascending id (the sort is stable)
         self.order = sorted(range(n), key=self.weights.__getitem__, reverse=True)
         self.rank = sorted(range(n), key=self.order.__getitem__)  # inverse of order
@@ -1020,19 +1019,19 @@ def mwis_intervals(items: Sequence[Tuple[TimeInterval, float]]) -> List[int]:
     Deterministic: among equal-weight optima the backtrack prefers
     earlier-ending intervals (ties by input position).
     """
-    order = sorted(range(len(items)), key=lambda i: (items[i][0].end, items[i][0].start, i))
-    ends = [items[i][0].end for i in order]
+    keyed = sorted([(iv.end, iv.start, i, w) for i, (iv, w) in enumerate(items)])
+    ends = [key[0] for key in keyed]
     # p[j]: number of intervals (in end order) finishing strictly before start of j
-    opt = [0.0] * (len(order) + 1)
-    p = [0] * len(order)
-    for j, idx in enumerate(order):
-        p[j] = bisect.bisect_left(ends, items[idx][0].start)
-        opt[j + 1] = max(opt[j], items[idx][1] + opt[p[j]])
+    opt = [0.0] * (len(keyed) + 1)
+    p = [0] * len(keyed)
+    for j, (_, start, _, w) in enumerate(keyed):
+        p[j] = bisect.bisect_left(ends, start)
+        opt[j + 1] = max(opt[j], w + opt[p[j]])
     chosen: List[int] = []
-    j = len(order)
+    j = len(keyed)
     while j > 0:
-        idx = order[j - 1]
-        take = items[idx][1] + opt[p[j - 1]]
+        _, _, idx, w = keyed[j - 1]
+        take = w + opt[p[j - 1]]
         if take > opt[j - 1]:
             chosen.append(idx)
             j = p[j - 1]
@@ -1051,6 +1050,7 @@ class _IgVertex:
     label_id: str
     presence_index: int
     interval: TimeInterval
+    weight: float  # interval length times the label weight
 
 
 def _conflict_blocks(
@@ -1075,14 +1075,13 @@ def _conflict_blocks(
 
 
 def _justified_cut_points(
-    instance: Instance, label_id: str, chosen: List[Tuple[str, TimeInterval]]
+    instance: Instance, label_id: str, chosen: Dict[str, List[TimeInterval]]
 ) -> Tuple[List[float], List[float]]:
-    """(valid activity starts, valid activity ends) backed by active witnesses."""
+    """(valid activity starts, valid activity ends) backed by active witnesses;
+    ``chosen`` maps a label id to all its chosen activities."""
     starts, ends = [], []
     for other_id, conflict in instance.conflicts_of(label_id):
-        for chosen_id, chosen_iv in chosen:
-            if chosen_id != other_id:
-                continue
+        for chosen_iv in chosen.get(other_id, ()):
             if chosen_iv.start <= conflict.end <= chosen_iv.end:
                 starts.append(conflict.end)
             if chosen_iv.start <= conflict.start <= chosen_iv.end:
@@ -1094,7 +1093,7 @@ def _shorten(
     instance: Instance,
     vertex: _IgVertex,
     iteration_chosen: Dict[str, List[TimeInterval]],
-    all_chosen: List[Tuple[str, TimeInterval]],
+    all_chosen: Dict[str, List[TimeInterval]],
     mode: AmMode,
 ) -> Optional[_IgVertex]:
     """Shorten a neighbor's interval so it no longer conflicts with the
@@ -1155,8 +1154,9 @@ def _shorten(
             adjusted.append((s, t))
     if not adjusted:
         return None
-    best = max(adjusted, key=lambda p: (p[1] - p[0], -p[0]))
-    return _IgVertex(vertex.label_id, vertex.presence_index, TimeInterval(best[0], best[1]))
+    s, t = max(adjusted, key=lambda p: (p[1] - p[0], -p[0]))
+    weight = (t - s) * instance.labels[vertex.label_id].weight
+    return _IgVertex(vertex.label_id, vertex.presence_index, TimeInterval(s, t), weight)
 
 
 def solve_intgraph(
@@ -1167,44 +1167,40 @@ def solve_intgraph(
     """Iterated max-weight independent sets on the interval graph of presences.
 
     Each round selects a max-weight set of pairwise time-disjoint intervals
-    and shortens every remaining interval, as the activity model allows, so
-    that it no longer conflicts with the chosen ones (see :func:`_shorten`).
-    Intervals that overlap a chosen one in time without a conflict stay.
+    and shortens the remaining intervals of the labels in conflict with a
+    chosen one, as the activity model allows, so that they no longer
+    conflict with the chosen ones (see :func:`_shorten`).  Intervals that
+    overlap a chosen one in time without a conflict stay.
     """
     started = time.perf_counter()
     vertices: List[_IgVertex] = []
     for lid in sorted(instance.presences):
+        weight = instance.labels[lid].weight
         for pi, presence in enumerate(instance.presences_of(lid)):
             if presence.length > 0:
-                vertices.append(_IgVertex(lid, pi, presence))
+                vertices.append(_IgVertex(lid, pi, presence, presence.length * weight))
 
-    phi_raw: Dict[str, list] = {}
-    all_chosen: List[Tuple[str, TimeInterval]] = []
+    phi_raw: Dict[str, list] = {}  # label -> its chosen activities so far
     rounds = 0
     while vertices:
         if problem.kind == "KRMT" and rounds >= problem.k:
             break
         rounds += 1
-        weights = [
-            (v.interval, v.interval.length * instance.labels[v.label_id].weight)
-            for v in vertices
-        ]
-        picked = set(mwis_intervals(weights))
+        picked = set(mwis_intervals([(v.interval, v.weight) for v in vertices]))
         iteration_chosen: Dict[str, List[TimeInterval]] = {}
         for i in picked:
             v = vertices[i]
             phi_raw.setdefault(v.label_id, []).append(v.interval)
             iteration_chosen.setdefault(v.label_id, []).append(v.interval)
-            all_chosen.append((v.label_id, v.interval))
+        # a vertex of any other label has nothing to avoid: it stays as it is
+        cut = {other for lid in iteration_chosen for other, _ in instance.conflicts_of(lid)}
 
-        remaining = []
-        for i, v in enumerate(vertices):
-            if i in picked:
-                continue
-            shortened = _shorten(instance, v, iteration_chosen, all_chosen, mode)
-            if shortened is not None and shortened.interval.length > 0:
-                remaining.append(shortened)
-        vertices = remaining
+        shortened = [
+            _shorten(instance, v, iteration_chosen, phi_raw, mode) if v.label_id in cut else v
+            for i, v in enumerate(vertices)
+            if i not in picked
+        ]
+        vertices = [v for v in shortened if v is not None]
 
     phi = make_activity_set(phi_raw)
     return _result(instance, phi, Status.FEASIBLE, started)

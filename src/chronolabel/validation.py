@@ -9,14 +9,18 @@ heuristic independent sets model-conformant.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .model import ActivitySet, Instance, IntegrityError, TimeInterval
+
+_START = attrgetter("start")
 
 
 class AmMode(enum.Enum):
@@ -51,10 +55,10 @@ class ValidationReport:
 
 
 def _presence_containing(instance: Instance, label_id: str, iv: TimeInterval):
-    for p in instance.presences_of(label_id):
-        if p.contains(iv):
-            return p
-    return None
+    # presences are sorted and disjoint: only the last one starting by iv can hold it
+    presences = instance.presences_of(label_id)
+    i = bisect.bisect_right(presences, iv.start, key=_START)
+    return presences[i - 1] if i and iv.end <= presences[i - 1].end else None
 
 
 def check_valid(instance: Instance, phi: ActivitySet) -> ValidationReport:

@@ -4,7 +4,8 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from chronolabel.conflict_graph import build_graph
-from chronolabel.model import Instance, TimeInterval, objective
+from chronolabel.model import Instance, TimeInterval, make_activity_set, objective
+from chronolabel.solvers import _IgVertex, _shorten, mwis_intervals
 from chronolabel.validation import AmMode, check_model
 
 
@@ -16,6 +17,11 @@ def max_simultaneous(phi) -> int:
         mid = 0.5 * (lo + hi)
         worst = max(worst, sum(1 for iv in intervals if iv.start < mid < iv.end))
     return worst
+
+
+def presence_containing_reference(instance: Instance, label_id: str, iv: TimeInterval):
+    """The label's first presence containing ``iv``, by a linear scan."""
+    return next((p for p in instance.presences_of(label_id) if p.contains(iv)), None)
 
 
 def enumeration_search_space(instance: Instance, mode: AmMode) -> int:
@@ -225,3 +231,46 @@ def milp_gmt(
     selection = [v for v in range(n) if res.x[v] > 0.5]
     phi = graph.to_activity_set(selection)
     return objective(instance, phi), phi
+
+
+def slice_bound_reference(instance: Instance, k: int) -> float:
+    """KRMT slice bound with every presence rescanned per elementary slice:
+    slice length times the ``k`` heaviest weights present, summed in slice
+    order with the weights sorted descending."""
+    presences = [
+        (iv, instance.labels[lid].weight) for lid, ivs in instance.presences.items() for iv in ivs
+    ]
+    points = sorted({p for iv, _ in presences for p in (iv.start, iv.end)})
+    total = 0.0
+    for lo, hi in zip(points, points[1:]):
+        weights = sorted((w for iv, w in presences if iv.start <= lo and hi <= iv.end), reverse=True)
+        total += (hi - lo) * sum(weights[:k])
+    return total
+
+
+def intgraph_reference(instance: Instance, problem, mode: AmMode):
+    """IntGraph's activity set with every remaining vertex passed through
+    ``_shorten`` in every round, whatever labels the round picked."""
+    vertices = [
+        _IgVertex(lid, pi, presence, presence.length * instance.labels[lid].weight)
+        for lid in sorted(instance.presences)
+        for pi, presence in enumerate(instance.presences_of(lid))
+        if presence.length > 0
+    ]
+    chosen: Dict[str, list] = {}
+    rounds = 0
+    while vertices and not (problem.kind == "KRMT" and rounds >= problem.k):
+        rounds += 1
+        items = [(v.interval, v.interval.length * instance.labels[v.label_id].weight) for v in vertices]
+        picked = set(mwis_intervals(items))
+        round_chosen: Dict[str, list] = {}
+        for i in picked:
+            for by_label in (chosen, round_chosen):
+                by_label.setdefault(vertices[i].label_id, []).append(vertices[i].interval)
+        shortened = [
+            _shorten(instance, v, round_chosen, chosen, mode)
+            for i, v in enumerate(vertices)
+            if i not in picked
+        ]
+        vertices = [v for v in shortened if v is not None and v.interval.length > 0]
+    return make_activity_set(chosen)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from chronolabel import conflict_graph
 from chronolabel.conflict_graph import SizeLimitExceeded, build_graph
@@ -7,7 +8,7 @@ from chronolabel.model import ConflictEntry, Instance, Label, TimeInterval
 from chronolabel.scenario import extract_instance, synthesize_scenario
 from chronolabel.validation import AmMode, check_valid
 
-from conftest import navigation_corpus, random_instance
+from conftest import instance_graphs, navigation_corpus, random_instance
 from oracle import _conflicting_pairs
 
 
@@ -83,6 +84,23 @@ class TestBuildGraph:
                 for mode in AmMode
             }
             assert sets[AmMode.AM1] <= sets[AmMode.AM2] <= sets[AmMode.AM3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance_graph=instance_graphs())
+    def test_candidates_match_columns(self, instance_graph):
+        instance, graph = instance_graph
+        columns = zip(graph.starts, graph.ends, graph.weights, graph.label_ids, graph.presence_indices)
+        assert len(graph.candidates) == len(graph)
+        for v, (c, (start, end, weight, lid, pi)) in enumerate(zip(graph.candidates, columns)):
+            assert (c.id, c.interval, c.weight, c.label_id, c.presence_index) == (
+                v,
+                TimeInterval(start, end),
+                weight,
+                lid,
+                pi,
+            )
+            assert c.weight == c.interval.length * instance.labels[lid].weight
+            assert graph.clusters[c.cluster_key] == list(graph.cluster_of[c.id])
 
     def test_size_guard(self, i1, monkeypatch):
         monkeypatch.setattr(conflict_graph, "SIZE_LIMIT", 3)

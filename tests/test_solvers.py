@@ -17,6 +17,7 @@ from chronolabel.solvers import (
     _PlsState,
     _greedy_selection,
     _label_groups,
+    _slice_bound,
     _witness_requirements,
     krmt,
     mwis_intervals,
@@ -33,8 +34,10 @@ from oracle import (
     enumerate_optima,
     enumeration_search_space,
     greedy_reference,
+    intgraph_reference,
     milp_gmt,
     pls_rescan,
+    slice_bound_reference,
 )
 
 # First navigation-corpus instances cross-checked against the MILP oracle;
@@ -268,6 +271,44 @@ class TestExact:
         assert result.upper_bound is not None
         assert result.upper_bound >= result.objective
 
+    def test_slice_bound_sweep_matches_rescan(self):
+        instances = [random_instance(seed) for seed in range(50)]
+        instances += [instance for _, instance in navigation_corpus(3)]
+        instances.append(extract_instance(synthesize_scenario(21)))  # short presences kept
+        for instance in instances:
+            for k in (1, 2, 3):
+                assert _slice_bound(instance, k) == slice_bound_reference(instance, k)
+
+    # Random instances lie on a half-second grid with integer weights, so
+    # every objective and bound below is exact.
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_proven_gmt_values_keep_model_order(self, seed):
+        instance = random_instance(seed)
+        results = [solve_exact(instance, GMT, mode, time_limit=60.0) for mode in AmMode]
+        assert all(result.status is Status.OPTIMAL for result in results)
+        assert results[0].objective <= results[1].objective <= results[2].objective
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6), k=st.integers(1, 3), mode=st.sampled_from(AmMode))
+    def test_krmt_objective_within_slice_bound(self, seed, k, mode):
+        instance = random_instance(seed)
+        result = solve_exact(instance, krmt(k), mode, time_limit=60.0)
+        assert result.objective <= _slice_bound(instance, k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        problem=st.sampled_from([GMT, krmt(1), krmt(2)]),
+        mode=st.sampled_from(AmMode),
+    )
+    def test_feasible_objective_within_upper_bound(self, seed, problem, mode):
+        instance = random_instance(seed)
+        for limit in (0.0, 60.0):
+            result = solve_exact(instance, problem, mode, time_limit=limit)
+            if result.status is Status.FEASIBLE:
+                assert result.objective <= result.upper_bound
+
 
 class TestGreedy:
     def test_i1_gmt_am1(self, i1):
@@ -336,6 +377,26 @@ def test_heuristics_never_derive_neighbor_sets(monkeypatch):
         solve_pls(instance, GMT, AmMode.AM3),
     ):
         assert check_model(instance, result.phi, AmMode.AM3).valid
+
+
+def test_solvers_never_materialize_candidates(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("ConflictGraph.candidates materialized")
+
+    instances = [nav_scenario(21), navigation_corpus(1)[0][1]]
+    monkeypatch.setattr(ConflictGraph, "candidates", property(refuse))
+    for instance in instances:
+        for problem, mode, solve in (
+            (GMT, AmMode.AM3, solve_greedy),
+            (GMT, AmMode.AM3, solve_pls),
+            (GMT, AmMode.AM3, solve_intgraph),
+            (GMT, AmMode.AM3, solve_exact),
+            (krmt(2), AmMode.AM1, solve_exact),
+            (krmt(2), AmMode.AM3, solve_exact),
+        ):
+            args = {"time_limit": NAV_TIME_LIMIT} if solve is solve_exact else {}
+            result = solve(instance, problem, mode, **args)
+            assert check_model(instance, result.phi, mode, k=problem.k).valid
 
 
 class TestPls:
@@ -474,6 +535,16 @@ class TestIntGraph:
                         mode,
                         problem,
                     )
+
+
+    def test_matches_all_vertex_reference(self):
+        instances = [random_instance(seed) for seed in range(50)]
+        instances += [instance for _, instance in navigation_corpus(2)]
+        for instance in instances:
+            for mode in AmMode:
+                for problem in (GMT, krmt(1), krmt(2)):
+                    result = solve_intgraph(instance, problem, mode)
+                    assert result.phi == intgraph_reference(instance, problem, mode)
 
 
 class TestMwisIntervals:

@@ -10,6 +10,7 @@ from chronolabel.model import IntegrityError, TimeInterval, make_activity_set, o
 from chronolabel.validation import (
     AmMode,
     _k_bound_violations,
+    _presence_containing,
     check_model,
     check_valid,
     is_justified,
@@ -17,7 +18,7 @@ from chronolabel.validation import (
 )
 
 from conftest import instance_graphs, random_instance
-from oracle import saturate_reference
+from oracle import presence_containing_reference, saturate_reference
 
 
 def phi_of(**kwargs):
@@ -279,3 +280,22 @@ def test_saturation_properties(instance_graph, shuffle_seed):
 
     assert weight(out) >= weight(selection)
     assert out == saturate_reference(graph, selection)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_presence_lookup_matches_linear_scan(seed, data):
+    instance = random_instance(seed)
+    # presence endpoints, quarter-second points between and around them,
+    # and points before and after the horizon
+    points = {p for ivs in instance.presences.values() for iv in ivs for p in (iv.start, iv.end)}
+    points = sorted(points | {x / 4 for x in range(-4, 45)})
+    label_ids = st.sampled_from(sorted(instance.labels) + ["unknown"])
+    for _ in range(20):
+        lid = data.draw(label_ids)
+        start = data.draw(st.sampled_from(points))
+        end = data.draw(st.sampled_from([p for p in points if p >= start]))
+        iv = TimeInterval(start, end)
+        assert _presence_containing(instance, lid, iv) is presence_containing_reference(
+            instance, lid, iv
+        )
