@@ -8,7 +8,6 @@ Subcommands: ``generate`` (scenario -> instance), ``solve``, ``validate``,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -93,10 +92,31 @@ def apply_min_activity(instance: Instance, min_activity: float) -> Instance:
 # Argument plumbing
 
 
+def _seconds(text: str) -> float:
+    """A duration flag: a finite number of seconds, at least 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected finite seconds >= 0, got {text!r}")
+    return value
+
+
+def _items_of(allowed: Tuple[str, ...]):
+    """A comma-separated flag whose items are each one of ``allowed``."""
+
+    def parse(text: str) -> List[str]:
+        items = [item for item in text.split(",") if item]
+        unknown = [item for item in items if item not in allowed]
+        if unknown:
+            raise argparse.ArgumentTypeError(f"unknown {unknown} (choose from {','.join(allowed)})")
+        return items
+
+    return parse
+
+
 def _problem_of(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Problem:
     if args.problem == "krmt":
-        if args.k is None:
-            parser.error("--problem krmt requires --k")
+        if args.k is None or args.k < 1:
+            parser.error("--problem krmt requires --k >= 1")
         return krmt(args.k)
     if args.k is not None:
         parser.error("--k only applies to --problem krmt")
@@ -111,7 +131,7 @@ def _add_problem_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--time-limit", type=float, default=600.0, metavar="S")
+    sub.add_argument("--time-limit", type=_seconds, default=600.0, metavar="S")
 
 
 def _request(args: argparse.Namespace, problem: Problem, seed: int) -> SolveRequest:
@@ -162,8 +182,8 @@ def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    instance = load_instance(_read(args.instance))
     problem = _problem_of(parser, args)
+    instance = load_instance(_read(args.instance))
     request = _request(args, problem, args.seed)
     result = solve(instance, request)
 
@@ -203,9 +223,9 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    problem = _problem_of(parser, args)
     instance = load_instance(_read(args.instance))
     phi = load_solution(_read(args.solution))
-    problem = _problem_of(parser, args)
     report = check_model(
         instance, phi, AmMode(args.am), k=problem.k, min_duration=args.min_activity
     )
@@ -248,38 +268,6 @@ def cmd_graph_dump(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 # bench
 
 
-def _bench_run(task: tuple) -> dict:
-    """One benchmark run; top-level so worker processes can import it."""
-    path, kind, k, mode_value, algo, seed, time_limit = task
-    instance = load_instance(Path(path).read_text("utf-8"))
-    problem = krmt(k) if kind == "KRMT" else GMT
-    mode = AmMode(mode_value)
-    request = SolveRequest(
-        problem=problem,
-        mode=mode,
-        algorithm=algo.upper(),
-        time_limit=time_limit,
-        seed=seed,
-    )
-    result = solve(instance, request)
-    status = result.status.value
-    if result.status in (Status.OPTIMAL, Status.FEASIBLE):
-        if not check_model(instance, result.phi, mode, k=problem.k).valid:
-            status = "INVALID"
-    return {
-        "instance": Path(path).name,
-        "complexity": complexity(instance),
-        "problem": "KRMT" if kind == "KRMT" else "GMT",
-        "k": k,
-        "mode": mode.name,
-        "algorithm": algo,
-        "objective": result.objective,
-        "upper_bound": result.upper_bound,
-        "runtime_s": result.runtime,
-        "status": status,
-    }
-
-
 def _fmt(value: Optional[float], digits: int = 6) -> str:
     return "" if value is None else f"{value:.{digits}f}"
 
@@ -292,29 +280,44 @@ def bench_rows(
     *,
     seed: int = 0,
     time_limit: float = 600.0,
-    jobs: int = 1,
 ) -> List[dict]:
-    """Run the benchmark matrix and attach exact references and quality ratios."""
-    tasks = []
+    """Run the benchmark matrix and attach exact references and quality ratios.
+
+    Each instance file is parsed once; run ``i`` of the matrix (files sorted,
+    then modes, then algorithms) is solved with the seed ``seed + i``.
+    """
+    rows: List[dict] = []
     for path in sorted(str(p) for p in paths):
-        for mode_value in modes:
+        instance = load_instance(_read(path))
+        size = complexity(instance)
+        for mode in map(AmMode, modes):
             for algo in algos:
-                tasks.append(
-                    (
-                        path,
-                        problem.kind,
-                        problem.k,
-                        mode_value,
-                        algo,
-                        seed + len(tasks),  # per-run seed, stable task order
-                        time_limit,
-                    )
+                request = SolveRequest(
+                    problem=problem,
+                    mode=mode,
+                    algorithm=algo.upper(),
+                    time_limit=time_limit,
+                    seed=seed + len(rows),
                 )
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_bench_run, tasks))
-    else:
-        rows = [_bench_run(task) for task in tasks]
+                result = solve(instance, request)
+                status = result.status.value
+                if result.status in (Status.OPTIMAL, Status.FEASIBLE):
+                    if not check_model(instance, result.phi, mode, k=problem.k).valid:
+                        status = "INVALID"
+                rows.append(
+                    {
+                        "instance": Path(path).name,
+                        "complexity": size,
+                        "problem": problem.kind,
+                        "k": problem.k,
+                        "mode": mode.name,
+                        "algorithm": algo,
+                        "objective": result.objective,
+                        "upper_bound": result.upper_bound,
+                        "runtime_s": result.runtime,
+                        "status": status,
+                    }
+                )
 
     # exact reference per (instance, problem, mode): the optimum when proven,
     # otherwise the best known upper bound (flagged in reference_kind)
@@ -518,24 +521,13 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if not paths:
         print(f"no instance files (*.json) in {instance_dir}", file=sys.stderr)
         return EXIT_INVALID
-    problem = _problem_of(parser, args)
-    modes = [int(m) for m in args.modes.split(",") if m]
-    algos = [a for a in args.algos.split(",") if a]
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            parser.error(f"unknown algorithm {algo!r}")
-    for mode in modes:
-        if mode not in (1, 2, 3):
-            parser.error(f"unknown activity model {mode!r}")
-
     rows = bench_rows(
         paths,
-        problem,
-        modes,
-        algos,
+        _problem_of(parser, args),
+        [int(m) for m in args.modes],
+        args.algos,
         seed=args.seed,
         time_limit=args.time_limit,
-        jobs=args.jobs,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -543,7 +535,7 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     write_ratio_csv(ratio_rows(rows), out_dir / "ratios.csv")
     write_bench_plots(rows, out_dir)
 
-    for algo in algos:
+    for algo in args.algos:
         qualities = [r["quality"] for r in rows if r["algorithm"] == algo and r["quality"] is not None]
         if qualities:
             print(f"{algo}: mean quality {sum(qualities) / len(qualities):.4f} over {len(qualities)} runs")
@@ -569,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--scenario-out", help="also write the scenario JSON here")
     p_gen.add_argument(
         "--min-activity",
-        type=float,
+        type=_seconds,
         default=1.0,
         metavar="S",
         help="drop presence intervals shorter than S seconds (default 1.0)",
@@ -590,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p_val)
     p_val.add_argument(
         "--min-activity",
-        type=float,
+        type=_seconds,
         default=0.0,
         metavar="S",
         help="minimum activity duration to enforce (default 0)",
@@ -606,9 +598,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the benchmark matrix over a directory")
     p_bench.add_argument("instances", help="directory of instance JSON files")
     p_bench.add_argument("--out-dir", default="bench-out")
-    p_bench.add_argument("--algos", default="exact,greedy,pls,intgraph", help="comma-separated")
-    p_bench.add_argument("--modes", default="1,2,3", help="comma-separated activity models")
-    p_bench.add_argument("--jobs", type=int, default=1, help="worker pool width")
+    p_bench.add_argument(
+        "--algos", type=_items_of(ALGORITHMS), default="exact,greedy,pls,intgraph",
+        help="comma-separated",
+    )
+    p_bench.add_argument(
+        "--modes", type=_items_of(("1", "2", "3")), default="1,2,3",
+        help="comma-separated activity models",
+    )
     p_bench.add_argument("--problem", choices=("gmt", "krmt"), default="gmt")
     p_bench.add_argument("--k", type=int, default=None)
     _add_solver_flags(p_bench)

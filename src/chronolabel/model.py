@@ -192,7 +192,8 @@ def complexity(instance: Instance) -> int:
 Source = Union[str, bytes, IO]
 
 
-def _load_json(source: Source) -> dict:
+def load_json(source: Source) -> dict:
+    """Parse a JSON document; ParseError if it is malformed."""
     try:
         if isinstance(source, (str, bytes)):
             return json.loads(source)
@@ -242,7 +243,7 @@ def _objects(doc: dict, key: str) -> list:
 
 def load_instance(source: Source) -> Instance:
     """Parse an instance file. Raises ParseError / IntegrityError."""
-    doc = _load_json(source)
+    doc = load_json(source)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     horizon = _num(doc, "horizon", "instance")
@@ -304,7 +305,7 @@ def dump_instance(instance: Instance) -> str:
 
 
 def load_solution(source: Source) -> ActivitySet:
-    doc = _load_json(source)
+    doc = load_json(source)
     if not isinstance(doc, dict):
         raise ParseError("solution document must be a JSON object")
     raw_by_label: dict = {}

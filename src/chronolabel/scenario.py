@@ -21,7 +21,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +31,10 @@ from .model import (
     IntegrityError,
     Label,
     ParseError,
+    Source,
     TimeInterval,
     finite_number,
+    load_json,
 )
 
 VIEWPORT_PX = (800.0, 600.0)
@@ -499,17 +501,8 @@ def _clip_to_presences(
 # ---------------------------------------------------------------------------
 # Serialization (UTF-8 JSON)
 
-Source = Union[str, bytes, IO]
-
-
 def load_scenario(source: Source) -> Scenario:
-    try:
-        if isinstance(source, (str, bytes)):
-            doc = json.loads(source)
-        else:
-            doc = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    doc = load_json(source)
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
     try:
@@ -582,6 +575,7 @@ def dump_scenario(scenario: Scenario) -> str:
 # Seeded synthetic scenarios (stand-in for map extracts)
 
 _SPEED_LEVELS = (10.0, 15.0, 20.0, 25.0)  # m/s
+_EDGE_LENGTH_M = (150.0, 400.0)  # range of a route edge's length
 _GLYPH_W_PX = 8.0
 _LINE_H_PX = 18.0
 _CONSONANTS = "bcdfghklmnprstvw"
@@ -598,7 +592,6 @@ def synthesize_scenario(
     seed: int,
     n_edges: int = 12,
     n_pois: int = 55,
-    edge_length: Tuple[float, float] = (150.0, 400.0),
     corridor: float = 500.0,
 ) -> Scenario:
     """A random drive: a meandering route with occasional speed changes and
@@ -610,7 +603,7 @@ def synthesize_scenario(
     speeds = []
     speed = rng.choice(_SPEED_LEVELS)
     for _ in range(n_edges):
-        length = rng.uniform(*edge_length)
+        length = rng.uniform(*_EDGE_LENGTH_M)
         x += length * math.sin(heading)
         y += length * math.cos(heading)
         route.append((x, y))

@@ -6,7 +6,7 @@ active labels.  Four approaches are provided:
 
 * ``solve_exact``    optimal: branch-and-bound over candidate clusters (GMT),
                      a dynamic program sweeping the endpoint times (KRMT)
-* ``solve_greedy``   repeated max-weight candidate selection
+* ``solve_greedy``   one heaviest-first pass over the candidates
 * ``solve_pls``      phased local search on the candidate graph
 * ``solve_intgraph`` iterated max-weight independent sets on the interval
                      graph of (shortened) presence intervals
@@ -22,7 +22,7 @@ import random
 import sys
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,7 +74,6 @@ class SolveRequest:
     algorithm: str  # EXACT | GREEDY | PLS | INTGRAPH
     time_limit: float = 600.0
     seed: int = 0
-    pls_params: PlsParams = field(default_factory=PlsParams)
 
 
 @dataclass(frozen=True)
@@ -109,21 +108,21 @@ def solve(instance: Instance, request: SolveRequest) -> SolveResult:
     if algo == "GREEDY":
         return solve_greedy(instance, request.problem, request.mode)
     if algo == "PLS":
-        return solve_pls(
-            instance, request.problem, request.mode, seed=request.seed, params=request.pls_params
-        )
+        return solve_pls(instance, request.problem, request.mode, seed=request.seed)
     if algo == "INTGRAPH":
         return solve_intgraph(instance, request.problem, request.mode)
     raise ValueError(f"unknown algorithm {request.algorithm!r}")
 
 
 def _result(instance, phi, status, started, upper_bound=None) -> SolveResult:
+    """Result of a solve started at ``started``; an optimum is its own upper bound."""
+    value = objective(instance, phi)
     return SolveResult(
         phi=phi,
-        objective=objective(instance, phi),
+        objective=value,
         status=status,
         runtime=time.perf_counter() - started,
-        upper_bound=upper_bound,
+        upper_bound=value if status is Status.OPTIMAL else upper_bound,
     )
 
 
@@ -696,7 +695,7 @@ def _solve_group(
     Candidates that can never be justified are removed up front (see
     :func:`_witness_requirements`); the rest is handed to the decomposing
     branch-and-bound.  On timeout the repaired greedy selection is returned
-    with the sum-of-cluster-maxima upper bound.
+    with the pair-matching upper bound (:meth:`_GroupSolver._shares`).
     """
     part = {v for m in clusters for v in m}
     warm = repair_selection(
@@ -792,10 +791,8 @@ def solve_exact(
     else:
         selection, optimal, upper = _solve_krmt(instance, graph, mode, problem.k, deadline)
     phi = graph.to_activity_set(selection)
-    if optimal:
-        res = _result(instance, phi, Status.OPTIMAL, started)
-        return SolveResult(res.phi, res.objective, res.status, res.runtime, res.objective)
-    return _result(instance, phi, Status.FEASIBLE, started, upper_bound=upper)
+    status = Status.OPTIMAL if optimal else Status.FEASIBLE
+    return _result(instance, phi, status, started, upper_bound=upper)
 
 
 # ---------------------------------------------------------------------------

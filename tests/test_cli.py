@@ -153,6 +153,28 @@ class TestSolve:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{i1}", "--problem", "krmt", "--k", "0"],
+        ["bench", "{dir}", "--modes", "1,x"],
+        ["bench", "{dir}", "--algos", "exact,magic"],
+        ["solve", "{i1}", "--time-limit", "nan"],
+        ["solve", "{i1}", "--time-limit", "inf"],
+        ["solve", "{i1}", "--time-limit", "-1"],
+        ["generate", "--demo", "--min-activity", "nan", "--out", "{dir}/out.json"],
+    ],
+    ids=["k-0", "mode-x", "algo-magic", "limit-nan", "limit-inf", "limit-negative",
+         "min-activity-nan"],
+)
+def test_bad_flag_value_is_usage_error(i1_file, tmp_path, argv):
+    argv = [a.format(i1=i1_file, dir=tmp_path) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestValidate:
     def test_valid_solution_exit_0(self, i1_file, tmp_path, capsys):
         out = str(tmp_path / "sol.json")
@@ -224,8 +246,7 @@ class TestBench:
         out_dir = tmp_path / "bench"
         rc = main(
             ["bench", str(instance_dir), "--out-dir", str(out_dir),
-             "--algos", "exact,greedy", "--modes", "1,2,3", "--jobs", "2",
-             "--time-limit", "30"]
+             "--algos", "exact,greedy", "--modes", "1,2,3", "--time-limit", "30"]
         )
         assert rc == 0
         lines = (out_dir / "report.csv").read_text().splitlines()
@@ -257,6 +278,37 @@ class TestBench:
                     assert float(row["am2_over_am1"]) >= 1.0
                 if row["am3_over_am1"]:
                     assert float(row["am3_over_am1"]) >= float(row["am2_over_am1"]) - 1e-9
+
+    def test_each_file_parsed_once(self, instance_dir, tmp_path, monkeypatch):
+        import chronolabel.cli as cli
+
+        parsed = []
+
+        def counting_load(text):
+            parsed.append(text)
+            return load_instance(text)
+
+        monkeypatch.setattr(cli, "load_instance", counting_load)
+        rc = main(["bench", str(instance_dir), "--out-dir", str(tmp_path / "bench"),
+                   "--modes", "1,2,3", "--time-limit", "30"])
+        assert rc == 0
+        assert len(parsed) == 3  # one per file, not one per model x algorithm
+
+    def test_rows_repeat_apart_from_runtime(self, instance_dir, tmp_path):
+        import csv
+
+        reports = []
+        for run in ("a", "b"):
+            out_dir = tmp_path / run
+            main(["bench", str(instance_dir), "--out-dir", str(out_dir),
+                  "--algos", "exact,greedy,intgraph", "--time-limit", "30"])
+            with (out_dir / "report.csv").open() as handle:
+                rows = list(csv.DictReader(handle))
+            for row in rows:
+                del row["runtime_s"]
+            reports.append(rows)
+        assert len(reports[0]) == 3 * 3 * 3
+        assert reports[0] == reports[1]
 
     def test_empty_directory_exit_2(self, tmp_path):
         d = tmp_path / "empty"
