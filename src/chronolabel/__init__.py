@@ -24,12 +24,7 @@ from .validation import (
     is_justified,
     saturate_excluding,
 )
-from .conflict_graph import (
-    Candidate,
-    ConflictGraph,
-    SizeLimitExceeded,
-    build_graph,
-)
+from .conflict_graph import ConflictGraph, SizeLimitExceeded, build_graph
 from .solvers import (
     GMT,
     PlsParams,

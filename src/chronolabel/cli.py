@@ -244,14 +244,14 @@ def cmd_graph_dump(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         "mode": AmMode(args.am).name,
         "candidates": [
             {
-                "id": c.id,
-                "label": c.label_id,
-                "presence_index": c.presence_index,
-                "start": c.interval.start,
-                "end": c.interval.end,
-                "weight": c.weight,
+                "id": v,
+                "label": graph.label_ids[v],
+                "presence_index": graph.presence_indices[v],
+                "start": graph.starts[v],
+                "end": graph.ends[v],
+                "weight": graph.weights[v],
             }
-            for c in graph.candidates
+            for v in range(len(graph))
         ],
         "clusters": [sorted(members) for _, members in sorted(graph.clusters.items())],
         "adjacency": [sorted(graph.neighbors(v)) for v in range(len(graph))],

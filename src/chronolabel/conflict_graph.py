@@ -11,7 +11,6 @@ two labels are in conflict somewhere in the open overlap of the candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -27,40 +26,26 @@ class SizeLimitExceeded(RuntimeError):
     """Graph would exceed the ``SIZE_LIMIT`` vertex/edge cap."""
 
 
-@dataclass(frozen=True)
-class Candidate:
-    id: int
-    label_id: str
-    presence_index: int
-    interval: TimeInterval
-    weight: float
-
-    @property
-    def cluster_key(self) -> tuple:
-        return (self.label_id, self.presence_index)
-
-
 class ConflictGraph:
     """Immutable candidate graph for one instance and activity model.
 
     Candidates are columns indexed by id: ``starts``, ``ends``, ``weights``,
-    ``label_ids``, ``presence_indices``; ``candidates`` is made on first access.
-    No edge list is kept.  A cluster is a contiguous id range, and
-    ``cluster_of[v]`` is the range of v's cluster: cluster mates are
-    adjacent implicitly.  Cross edges are one boolean block per conflicting
-    label pair, reachable from both labels: row i of a label's block holds
-    the edges of its i-th candidate to the other label's candidates.
+    ``label_ids``, ``presence_indices``.  The activity model is in which
+    candidates exist; the graph keeps no mode.  No edge list is kept.  A
+    cluster is a contiguous id range, and ``cluster_of[v]`` is the range of
+    v's cluster: cluster mates are adjacent implicitly.  Cross edges are one
+    boolean block per conflicting label pair, reachable from both labels:
+    row i of a label's block holds the edges of its i-th candidate to the
+    other label's candidates.
     """
 
     def __init__(
         self,
-        mode: AmMode,
         columns: Tuple[List[float], List[float], List[float], List[str], List[int]],
         clusters: Dict[tuple, List[int]],
         blocks: Dict[Tuple[str, str], np.ndarray],
         edge_count: int,
     ):
-        self.mode = mode
         self.starts, self.ends, self.weights, self.label_ids, self.presence_indices = columns
         self.clusters = clusters
         self.edge_count = edge_count
@@ -78,32 +63,15 @@ class ConflictGraph:
         self._ids: List[Optional[List[int]]] = [None] * len(self.starts)
         self._neighbors: List[Optional[Set[int]]] = [None] * len(self.starts)
         self._intervals: List[Optional[TimeInterval]] = [None] * len(self.starts)  # on request
-        self._candidates: Optional[List[Candidate]] = None
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    @property
-    def candidates(self) -> List[Candidate]:
-        """The columns as one :class:`Candidate` per id, made once."""
-        if self._candidates is None:
-            rows = zip(self.starts, self.ends, self.weights, self.label_ids, self.presence_indices)
-            self._candidates = [
-                Candidate(v, lid, pi, TimeInterval(s, t), w)
-                for v, (s, t, w, lid, pi) in enumerate(rows)
-            ]
-        return self._candidates
 
     def rows(self, v: int) -> List[Tuple[int, np.ndarray]]:
         """v's block rows: (first, row) means v ~ first + j iff row[j]."""
         lid = self.label_ids[v]
         i = v - self._first[lid]
         return [(first, block[i]) for first, block in self._rows.get(lid, ())]
-
-    def adjacent(self, u: int, v: int) -> bool:
-        if self.cluster_of[u] is self.cluster_of[v]:
-            return u != v
-        return any(first <= v < first + len(row) and row[v - first] for first, row in self.rows(u))
 
     def neighbor_ids(self, v: int) -> List[int]:
         """v's cluster mates, then its cross neighbours; derived once."""
@@ -124,9 +92,6 @@ class ConflictGraph:
             for first, row in self.rows(v):
                 out.update((row.nonzero()[0] + first).tolist())
         return out
-
-    def weight(self, v: int) -> float:
-        return self.weights[v]
 
     def interval(self, v: int) -> TimeInterval:
         iv = self._intervals[v]
@@ -196,4 +161,4 @@ def build_graph(instance: Instance, mode: AmMode) -> ConflictGraph:
             blocks[a, b] = meets
     if edge_count > SIZE_LIMIT:
         raise SizeLimitExceeded(f"more than {SIZE_LIMIT} edges")
-    return ConflictGraph(mode, columns, clusters, blocks, edge_count)
+    return ConflictGraph(columns, clusters, blocks, edge_count)

@@ -18,6 +18,7 @@ import bisect
 import enum
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -65,6 +66,10 @@ def krmt(k: int) -> Problem:
 @dataclass(frozen=True)
 class PlsParams:
     wall_clock_budget: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.wall_clock_budget):
+            raise ValueError("PLS budget must be finite")
 
 
 @dataclass(frozen=True)
@@ -142,34 +147,30 @@ def _empty_phi() -> ActivitySet:
 # a dropped candidate's cluster stays empty and the candidate never returns.
 
 
-def _unjustified_candidates(
-    instance: Instance, graph: ConflictGraph, selection: set, mode: AmMode
-) -> List[int]:
+def _presence(instance: Instance, graph: ConflictGraph, v: int) -> TimeInterval:
+    """The presence interval that candidate v lies in."""
+    return instance.presences_of(graph.label_ids[v])[graph.presence_indices[v]]
+
+
+def _unjustified_candidates(instance: Instance, graph: ConflictGraph, selection: set) -> List[int]:
+    # a candidate spanning its whole presence needs no witness
+    inner = [v for v in selection if graph.interval(v) != _presence(instance, graph, v)]
+    if not inner:
+        return []
     phi = graph.to_activity_set(selection)
-    bad = []
-    for v in selection:
-        lid, interval = graph.label_ids[v], graph.interval(v)
-        start_ok, end_ok = is_justified(instance, phi, lid, interval)
-        if mode is AmMode.AM2:
-            start_ok = interval.start == instance.presences_of(lid)[graph.presence_indices[v]].start
-        if not (start_ok and end_ok):
-            bad.append(v)
-    return bad
+    justified = (is_justified(instance, phi, graph.label_ids[v], graph.interval(v)) for v in inner)
+    return [v for v, ok in zip(inner, justified) if not all(ok)]
 
 
-def repair_selection(
-    instance: Instance, graph: ConflictGraph, selection: set, mode: AmMode
-) -> set:
+def repair_selection(instance: Instance, graph: ConflictGraph, selection: set) -> set:
     """Saturate, then drop unjustified candidates until the set is model-valid."""
     selected = set(selection)
     while True:
         selected = saturate_excluding(instance, graph, selected)
-        if mode is AmMode.AM1:
-            return selected
-        bad = _unjustified_candidates(instance, graph, selected, mode)
+        bad = _unjustified_candidates(instance, graph, selected)
         if not bad:
             return selected
-        selected.discard(min(bad, key=lambda v: (graph.weight(v), v)))
+        selected.discard(min(bad, key=lambda v: (graph.weights[v], v)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +179,8 @@ def repair_selection(
 
 class _Deadline:
     def __init__(self, seconds: float):
+        if math.isnan(seconds):
+            raise ValueError("time limit is NaN")
         self.at = time.perf_counter() + seconds
         self.hit = seconds <= 0
         self._ticks = 0
@@ -192,21 +195,18 @@ class _Deadline:
 
 
 def _witness_requirements(
-    instance: Instance, graph: ConflictGraph, part: set, mode: AmMode
-) -> Tuple[Dict[int, List[Tuple[float, frozenset]]], set]:
-    """Justification as set constraints: ``(requirements, usable candidates)``.
+    instance: Instance, graph: ConflictGraph, part: set
+) -> Dict[int, List[Tuple[float, frozenset]]]:
+    """Justification as set constraints, keyed by the usable candidates of ``part``.
 
-    For AM2/AM3, an endpoint not on the presence boundary is justified iff a
-    witness candidate from a fixed, precomputable set is selected: any
-    candidate of a conflict partner whose conflict ends (starts) exactly at
-    the endpoint and whose interval covers it.  Each requirement is an
-    ``(endpoint, witness set)`` pair.  A candidate with an empty witness set
-    can never appear in a valid solution and is removed; removal shrinks
-    other witness sets, so this iterates to a fixpoint.
+    An endpoint not on the presence boundary is justified iff a witness
+    candidate from a fixed, precomputable set is selected: any candidate of
+    a conflict partner whose conflict ends (starts) exactly at the endpoint
+    and whose interval covers it.  Each requirement is an ``(endpoint,
+    witness set)`` pair.  A candidate with an empty witness set can never
+    appear in a valid solution and is removed; removal shrinks other witness
+    sets, so this iterates to a fixpoint.
     """
-    if mode is AmMode.AM1:
-        return {v: [] for v in part}, set(part)
-
     alive = set(part)
     while True:
         by_label: Dict[str, List[int]] = {}
@@ -226,12 +226,12 @@ def _witness_requirements(
         requirements: Dict[int, List[frozenset]] = {}
         dead = []
         for v in alive:
-            presence = instance.presences_of(graph.label_ids[v])[graph.presence_indices[v]]
+            presence = _presence(instance, graph, v)
             reqs = []
             usable = True
             conflicts = instance.conflicts_of(graph.label_ids[v])
             start, end = graph.starts[v], graph.ends[v]
-            if mode is AmMode.AM3 and start != presence.start:
+            if start != presence.start:
                 wit = witnesses(v, [other for other, iv in conflicts if iv.end == start], start)
                 if wit:
                     reqs.append((start, wit))
@@ -248,18 +248,18 @@ def _witness_requirements(
             else:
                 dead.append(v)
         if not dead:
-            return requirements, alive
+            return requirements
         alive.difference_update(dead)
 
 
 def _k_sweep(
     graph: ConflictGraph,
-    part: set,
     requirements: Dict[int, List[Tuple[float, frozenset]]],
     k: int,
     deadline: _Deadline,
 ) -> Optional[set]:
-    """Heaviest selection from ``part`` with at most ``k`` candidates open at once.
+    """Heaviest selection from the keys of ``requirements`` (see
+    :func:`_witness_requirements`) with at most ``k`` candidates open at once.
 
     A dynamic program over the endpoint times, as in k-track interval
     scheduling (Arkin & Silverberg 1987).  A state is the set of selected
@@ -273,13 +273,13 @@ def _k_sweep(
     """
     # time -> (starting, ending, (candidate, witnesses) checks, expiring clusters)
     events: Dict[float, tuple] = defaultdict(lambda: ([], [], [], []))
-    cluster = {v: (graph.label_ids[v], graph.presence_indices[v]) for v in part}
-    last_start: Dict[tuple, float] = {}
-    for v in sorted(part):
+    cluster = {v: graph.cluster_of[v].start for v in requirements}  # keyed by first id
+    last_start: Dict[int, float] = {}
+    for v in sorted(requirements):
         start = graph.starts[v]
         events[start][0].append(v)
         events[graph.ends[v]][1].append(v)
-        for t, wit in requirements.get(v, ()):
+        for t, wit in requirements[v]:
             events[t][2].append((v, wit))
         last_start[cluster[v]] = max(last_start.get(cluster[v], start), start)
     for key, t in last_start.items():
@@ -687,7 +687,6 @@ def _solve_group(
     instance: Instance,
     graph: ConflictGraph,
     clusters: List[List[int]],
-    mode: AmMode,
     deadline: _Deadline,
 ) -> Tuple[set, bool, float]:
     """Optimal selection for one label group: (selection, proven optimal, upper bound).
@@ -698,12 +697,10 @@ def _solve_group(
     with the pair-matching upper bound (:meth:`_GroupSolver._shares`).
     """
     part = {v for m in clusters for v in m}
-    warm = repair_selection(
-        instance, graph, _greedy_selection(graph, None, within=part), mode
-    )
-    requirements, alive = _witness_requirements(instance, graph, part, mode)
+    warm = repair_selection(instance, graph, _greedy_selection(graph, None, within=part))
+    requirements = _witness_requirements(instance, graph, part)
     kept = [
-        tuple(sorted((v for v in m if v in alive), key=lambda v: (-graph.weight(v), v)))
+        tuple(sorted((v for v in m if v in requirements), key=lambda v: (-graph.weights[v], v)))
         for m in clusters
     ]
     kept = [m for m in kept if m]
@@ -723,38 +720,35 @@ def _solve_group(
 
 
 def _solve_krmt(
-    instance: Instance, graph: ConflictGraph, mode: AmMode, k: int, deadline: _Deadline
+    instance: Instance, graph: ConflictGraph, k: int, deadline: _Deadline
 ) -> Tuple[set, bool, float]:
     """KRMT (selection, proven optimal, upper bound).
 
     Sweeps growing candidate sets, each optimum valid in every later one:
-    the full-presence candidates (the AM1 graph), for AM3 the candidates
-    starting at their presence start (the AM2 graph), then all candidates.
+    the full-presence candidates (the AM1 graph), if some start inside their
+    presence the candidates starting at their presence start (the AM2
+    graph), then all candidates.
     A finished sweep that reaches the slice bound is optimal and ends the
     search.  On timeout the last finished optimum is returned, so reported values keep
     AM1 <= AM2 <= AM3; if none finished, the greedy selection.
     """
     bound = _slice_bound(instance, k)
     reached = bound * (1 - 1e-9)  # equal sums may round differently
-
-    def presence(v: int) -> TimeInterval:
-        return instance.presences_of(graph.label_ids[v])[graph.presence_indices[v]]
-
-    full = {v for v in range(len(graph)) if graph.interval(v) == presence(v)}
-    best = _k_sweep(graph, full, {}, k, deadline)
+    full = {v for v in range(len(graph)) if graph.interval(v) == _presence(instance, graph, v)}
+    best = _k_sweep(graph, dict.fromkeys(full, ()), k, deadline)
     if best is None:
         return _greedy_selection(graph, k, within=full), False, bound
     if len(full) == len(graph) or graph.selection_weight(best) >= reached:
         return best, True, bound
-    requirements, alive = _witness_requirements(instance, graph, set(range(len(graph))), mode)
-    parts = [(alive, requirements)]
-    if mode is AmMode.AM3:
+    requirements = _witness_requirements(instance, graph, set(range(len(graph))))
+    parts = [requirements]
+    prefixes = {v for v in requirements if graph.starts[v] == _presence(instance, graph, v).start}
+    if len(prefixes) < len(requirements):
         # a prefix candidate whose witnesses all start later is never
         # justified among prefixes: the fixpoint over them is the AM2 one
-        prefixes = {v for v in alive if graph.starts[v] == presence(v).start}
-        parts.insert(0, _witness_requirements(instance, graph, prefixes, mode)[::-1])
-    for part, part_requirements in parts:
-        wider = _k_sweep(graph, part, part_requirements, k, deadline)
+        parts.insert(0, _witness_requirements(instance, graph, prefixes))
+    for part_requirements in parts:
+        wider = _k_sweep(graph, part_requirements, k, deadline)
         if wider is None:
             return best, False, bound
         best = wider
@@ -784,12 +778,12 @@ def solve_exact(
         upper = 0.0
         optimal = True
         for clusters in _label_groups(instance, graph):
-            sel, is_opt, part_upper = _solve_group(instance, graph, clusters, mode, deadline)
+            sel, is_opt, part_upper = _solve_group(instance, graph, clusters, deadline)
             selection |= sel
             upper += part_upper
             optimal = optimal and is_opt
     else:
-        selection, optimal, upper = _solve_krmt(instance, graph, mode, problem.k, deadline)
+        selection, optimal, upper = _solve_krmt(instance, graph, problem.k, deadline)
     phi = graph.to_activity_set(selection)
     status = Status.OPTIMAL if optimal else Status.FEASIBLE
     return _result(instance, phi, status, started, upper_bound=upper)
@@ -831,9 +825,9 @@ def solve_greedy(
     problem: Problem,
     mode: AmMode,
 ) -> SolveResult:
-    """Repeatedly take the heaviest remaining candidate.
+    """One pass over the candidates, heaviest first (see :func:`_greedy_selection`).
 
-    The result is saturated by construction; for AM2/AM3 a justification
+    The result is saturated by construction; for GMT a justification
     repair pass follows (see :func:`repair_selection`).  For KRMT the
     procedure runs on the AM1 graph regardless of the requested mode (an AM1
     solution trivially satisfies AM2/AM3); after each pick, candidates that
@@ -848,7 +842,7 @@ def solve_greedy(
         return _result(instance, _empty_phi(), Status.SIZE_ABORT, started)
     selected = _greedy_selection(graph, problem.k)
     if problem.kind == "GMT":
-        selected = repair_selection(instance, graph, selected, mode)
+        selected = repair_selection(instance, graph, selected)
     phi = graph.to_activity_set(selected)
     return _result(instance, phi, Status.FEASIBLE, started)
 
@@ -1000,7 +994,7 @@ def solve_pls(
         if v not in state.selected:
             state.force(v)
 
-    selection = repair_selection(instance, graph, best, mode)
+    selection = repair_selection(instance, graph, best)
     phi = graph.to_activity_set(selection)
     return _result(instance, phi, Status.FEASIBLE, started)
 
@@ -1045,7 +1039,6 @@ def mwis_intervals(items: Sequence[Tuple[TimeInterval, float]]) -> List[int]:
 @dataclass
 class _IgVertex:
     label_id: str
-    presence_index: int
     interval: TimeInterval
     weight: float  # interval length times the label weight
 
@@ -1153,7 +1146,7 @@ def _shorten(
         return None
     s, t = max(adjusted, key=lambda p: (p[1] - p[0], -p[0]))
     weight = (t - s) * instance.labels[vertex.label_id].weight
-    return _IgVertex(vertex.label_id, vertex.presence_index, TimeInterval(s, t), weight)
+    return _IgVertex(vertex.label_id, TimeInterval(s, t), weight)
 
 
 def solve_intgraph(
@@ -1173,9 +1166,9 @@ def solve_intgraph(
     vertices: List[_IgVertex] = []
     for lid in sorted(instance.presences):
         weight = instance.labels[lid].weight
-        for pi, presence in enumerate(instance.presences_of(lid)):
+        for presence in instance.presences_of(lid):
             if presence.length > 0:
-                vertices.append(_IgVertex(lid, pi, presence, presence.length * weight))
+                vertices.append(_IgVertex(lid, presence, presence.length * weight))
 
     phi_raw: Dict[str, list] = {}  # label -> its chosen activities so far
     rounds = 0

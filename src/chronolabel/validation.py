@@ -224,14 +224,15 @@ def saturate_excluding(instance, graph, selection: set) -> set:
     clusters = [graph.cluster_of[v].start for v in selected]
     if any(crossed[v] for v in selected) or len(set(clusters)) < len(clusters):
         raise IntegrityError("selection is not independent")
+    weights = graph.weights
     while True:
         # v is u's only selected cluster mate, so crossed[u] decides; the
         # largest gain first, then the smallest incoming id
         swaps = [
-            (graph.weight(v) - graph.weight(u), u, v)
+            (weights[v] - weights[u], u, v)
             for v in selected
             for u in graph.cluster_of[v]
-            if graph.weight(u) > graph.weight(v) and not crossed[u]
+            if weights[u] > weights[v] and not crossed[u]
         ]
         if not swaps:
             return selected

@@ -89,26 +89,26 @@ def greedy_reference(graph, k: Optional[int] = None) -> set:
     alive = set(range(len(graph)))
     selected: set = set()
     while alive:
-        pick = min(alive, key=lambda v: (-graph.weight(v), v))
+        pick = min(alive, key=lambda v: (-graph.weights[v], v))
         selected.add(pick)
         alive -= graph.neighbors(pick) | {pick}
         if k is not None:
-            picked = [graph.candidates[u].interval for u in selected]
-            alive = {v for v in alive if _open_at_once(picked + [graph.candidates[v].interval]) <= k}
+            picked = [graph.interval(u) for u in selected]
+            alive = {v for v in alive if _open_at_once(picked + [graph.interval(v)]) <= k}
     return selected
 
 
 def saturate_reference(graph, selection) -> set:
     """Best same-cluster swap (largest gain, then smallest incoming id) until
     none gains, with every test a set operation over ``neighbors()``."""
-    selected = set(selection)
+    selected, weights = set(selection), graph.weights
     while True:
         swaps = [
-            (graph.weight(v) - graph.weight(u), u, v)
+            (weights[v] - weights[u], u, v)
             for u in selected
-            for members in [graph.clusters[graph.candidates[u].cluster_key]]
+            for members in [graph.clusters[graph.label_ids[u], graph.presence_indices[u]]]
             for v in members
-            if graph.weight(v) > graph.weight(u) and graph.neighbors(v) & selected == {u}
+            if weights[v] > weights[u] and graph.neighbors(v) & selected == {u}
         ]
         if not swaps:
             return selected
@@ -123,26 +123,25 @@ def pls_rescan(graph, selected) -> tuple:
     return tight, {v for v in free if tight[v] == 0}, {v for v in free if tight[v] == 1}
 
 
-def _conflicting_pairs(instance: Instance, candidates) -> set:
+def _conflicting_pairs(instance: Instance, graph) -> set:
     """Candidate id pairs whose open overlap meets a conflict of their labels."""
+    starts, ends = graph.starts, graph.ends
     by_label: Dict[str, list] = {}
-    for c in candidates:
-        by_label.setdefault(c.label_id, []).append(c)
+    for v in range(len(graph)):
+        by_label.setdefault(graph.label_ids[v], []).append(v)
     pairs = set()
     for entry in instance.conflicts:
         lo_c, hi_c = entry.interval.start, entry.interval.end
         near = {
-            lid: [
-                c for c in by_label.get(lid, ()) if c.interval.start < hi_c and c.interval.end > lo_c
-            ]
+            lid: [v for v in by_label.get(lid, ()) if starts[v] < hi_c and ends[v] > lo_c]
             for lid in entry.pair
         }
-        for ca in near[entry.a]:
-            for cb in near[entry.b]:
-                lo = max(ca.interval.start, cb.interval.start)
-                hi = min(ca.interval.end, cb.interval.end)
+        for u in near[entry.a]:
+            for v in near[entry.b]:
+                lo = max(starts[u], starts[v])
+                hi = min(ends[u], ends[v])
                 if lo < hi and lo_c < hi and hi_c > lo:
-                    pairs.add((ca.id, cb.id))
+                    pairs.add((u, v))
     return pairs
 
 
@@ -165,8 +164,8 @@ def milp_gmt(
     from scipy.sparse import coo_array
 
     graph = build_graph(instance, mode)
-    candidates = graph.candidates
-    n = len(candidates)
+    starts, ends, label_ids = graph.starts, graph.ends, graph.label_ids
+    n = len(graph)
     if n == 0:
         return 0.0, graph.to_activity_set([])
     ends_at: Dict[tuple, set] = {}  # (label, time) -> partners whose conflict ends then
@@ -176,40 +175,40 @@ def milp_gmt(
             ends_at.setdefault((lid, entry.interval.end), set()).add(other)
             starts_at.setdefault((lid, entry.interval.start), set()).add(other)
     by_label: Dict[str, list] = {}
-    for c in candidates:
-        by_label.setdefault(c.label_id, []).append(c)
+    for v in range(n):
+        by_label.setdefault(label_ids[v], []).append(v)
 
     rows: List[List[Tuple[int, float]]] = []
     ubs: List[float] = []
     presences: Dict[tuple, List[int]] = {}
-    for c in candidates:
-        presences.setdefault((c.label_id, c.presence_index), []).append(c.id)
+    for v in range(n):
+        presences.setdefault((label_ids[v], graph.presence_indices[v]), []).append(v)
     for members in presences.values():
         rows.append([(v, 1.0) for v in members])
         ubs.append(1.0)
-    for u, v in _conflicting_pairs(instance, candidates):
+    for u, v in _conflicting_pairs(instance, graph):
         rows.append([(u, 1.0), (v, 1.0)])
         ubs.append(1.0)
-    for c in candidates:
-        presence = instance.presences_of(c.label_id)[c.presence_index]
+    for v in range(n):
+        presence = instance.presences_of(label_ids[v])[graph.presence_indices[v]]
         for t, inner, partners in (
-            (c.interval.start, c.interval.start != presence.start, ends_at),
-            (c.interval.end, c.interval.end != presence.end, starts_at),
+            (starts[v], starts[v] != presence.start, ends_at),
+            (ends[v], ends[v] != presence.end, starts_at),
         ):
             if not inner:
                 continue
             witnesses = {
-                u.id
-                for other in partners.get((c.label_id, t), ())
+                u
+                for other in partners.get((label_ids[v], t), ())
                 for u in by_label.get(other, ())
-                if u.interval.start <= t <= u.interval.end
+                if starts[u] <= t <= ends[u]
             }
-            rows.append([(c.id, 1.0)] + [(u, -1.0) for u in sorted(witnesses)])
+            rows.append([(v, 1.0)] + [(u, -1.0) for u in sorted(witnesses)])
             ubs.append(0.0)
     if k is not None:
-        points = sorted({p for c in candidates for p in (c.interval.start, c.interval.end)})
+        points = sorted({*starts, *ends})
         for lo, hi in zip(points, points[1:]):
-            cover = [c.id for c in candidates if c.interval.start <= lo and hi <= c.interval.end]
+            cover = [v for v in range(n) if starts[v] <= lo and hi <= ends[v]]
             if len(cover) > k:
                 rows.append([(v, 1.0) for v in cover])
                 ubs.append(float(k))
@@ -218,7 +217,7 @@ def milp_gmt(
     col_idx = [v for row in rows for v, _ in row]
     values = [a for row in rows for _, a in row]
     matrix = coo_array((values, (row_idx, col_idx)), shape=(len(rows), n)).tocsr()
-    weights = np.array([c.weight for c in candidates])
+    weights = np.array(graph.weights)
     res = milp(
         -weights,
         constraints=LinearConstraint(matrix, -np.inf, np.array(ubs)),
@@ -252,9 +251,9 @@ def intgraph_reference(instance: Instance, problem, mode: AmMode):
     """IntGraph's activity set with every remaining vertex passed through
     ``_shorten`` in every round, whatever labels the round picked."""
     vertices = [
-        _IgVertex(lid, pi, presence, presence.length * instance.labels[lid].weight)
+        _IgVertex(lid, presence, presence.length * instance.labels[lid].weight)
         for lid in sorted(instance.presences)
-        for pi, presence in enumerate(instance.presences_of(lid))
+        for presence in instance.presences_of(lid)
         if presence.length > 0
     ]
     chosen: Dict[str, list] = {}

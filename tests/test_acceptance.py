@@ -219,9 +219,9 @@ def test_criterion_5_saturated_sets_validate(suite1, suite2):
                 graph = build_graph(instance, AmMode.AM1)
                 greedy = solve_greedy(instance, GMT, AmMode.AM1)
                 selection = {
-                    c.id
-                    for c in graph.candidates
-                    if c.interval in greedy.phi.activities.get(c.label_id, ())
+                    v
+                    for v in range(len(graph))
+                    if graph.interval(v) in greedy.phi.activities.get(graph.label_ids[v], ())
                 }
                 saturated = saturate_excluding(instance, graph, selection)
                 assert graph.selection_weight(saturated) == graph.selection_weight(selection)

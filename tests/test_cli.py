@@ -217,6 +217,33 @@ class TestValidate:
         assert main(["validate", i1_file, str(sol), "--am", "2", "--min-activity", "5"]) == 2
 
 
+I1_DUMPS = {  # am -> (candidates as (label, presence index, start, end, weight), clusters, adjacency)
+    1: (
+        [("l1", 0, 0.0, 10.0, 10.0), ("l2", 0, 0.0, 10.0, 10.0), ("l3", 0, 2.0, 8.0, 6.0)],
+        [[0], [1], [2]],
+        [[1], [0], []],
+    ),
+    2: (
+        [
+            ("l1", 0, 0.0, 4.0, 4.0), ("l1", 0, 0.0, 10.0, 10.0),
+            ("l2", 0, 0.0, 4.0, 4.0), ("l2", 0, 0.0, 10.0, 10.0),
+            ("l3", 0, 2.0, 8.0, 6.0),
+        ],
+        [[0, 1], [2, 3], [4]],
+        [[1], [0, 3], [3], [1, 2], []],
+    ),
+    3: (
+        [
+            ("l1", 0, 0.0, 4.0, 4.0), ("l1", 0, 0.0, 10.0, 10.0), ("l1", 0, 6.0, 10.0, 4.0),
+            ("l2", 0, 0.0, 4.0, 4.0), ("l2", 0, 0.0, 10.0, 10.0), ("l2", 0, 6.0, 10.0, 4.0),
+            ("l3", 0, 2.0, 8.0, 6.0),
+        ],
+        [[0, 1, 2], [3, 4, 5], [6]],
+        [[1, 2], [0, 2, 4], [0, 1], [4, 5], [1, 3, 5], [3, 4], []],
+    ),
+}
+
+
 class TestGraphDump:
     def test_dump_structure(self, i1_file, tmp_path):
         out = tmp_path / "graph.json"
@@ -230,6 +257,22 @@ class TestGraphDump:
         for v, neighbors in enumerate(doc["adjacency"]):
             for u in neighbors:
                 assert v in doc["adjacency"][u]
+
+    @pytest.mark.parametrize("am", sorted(I1_DUMPS))
+    def test_dump_document(self, i1_file, tmp_path, am):
+        out = tmp_path / "graph.json"
+        assert main(["graph-dump", i1_file, "--am", str(am), "--out", str(out)]) == 0
+        candidates, clusters, adjacency = I1_DUMPS[am]
+        doc = {
+            "mode": f"AM{am}",
+            "candidates": [
+                {"id": v, "label": lid, "presence_index": pi, "start": s, "end": t, "weight": w}
+                for v, (lid, pi, s, t, w) in enumerate(candidates)
+            ],
+            "clusters": clusters,
+            "adjacency": adjacency,
+        }
+        assert out.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 class TestBench:

@@ -13,9 +13,21 @@ from oracle import _conflicting_pairs
 
 
 def intervals_of(graph, label):
-    return sorted(
-        (c.interval.start, c.interval.end) for c in graph.candidates if c.label_id == label
-    )
+    return sorted((graph.starts[v], graph.ends[v]) for v in ids_of(graph, label))
+
+
+def ids_of(graph, label, end=None):
+    """The ids of the label's candidates, those ending at ``end`` if given."""
+    return [
+        v
+        for v, lid in enumerate(graph.label_ids)
+        if lid == label and end in (None, graph.ends[v])
+    ]
+
+
+def candidate_keys(graph) -> list:
+    """(label, presence index, start, end) per candidate id."""
+    return list(zip(graph.label_ids, graph.presence_indices, graph.starts, graph.ends))
 
 
 class TestBuildGraph:
@@ -24,9 +36,8 @@ class TestBuildGraph:
         assert len(graph) == 3
         assert all(len(m) == 1 for m in graph.clusters.values())
         assert graph.edge_count == 1
-        c1 = next(c for c in graph.candidates if c.label_id == "l1")
-        c2 = next(c for c in graph.candidates if c.label_id == "l2")
-        assert graph.adjacent(c1.id, c2.id)
+        [c1], [c2] = ids_of(graph, "l1"), ids_of(graph, "l2")
+        assert graph.neighbors(c1) == {c2}
 
     def test_am2(self, i1):
         graph = build_graph(i1, AmMode.AM2)
@@ -42,9 +53,9 @@ class TestBuildGraph:
 
     def test_candidate_ids_deterministic(self, i1):
         graph = build_graph(i1, AmMode.AM3)
-        keys = [(c.label_id, c.presence_index, c.interval.start, c.interval.end) for c in graph.candidates]
+        keys = candidate_keys(graph)
+        assert len(keys) == len(graph)
         assert keys == sorted(keys)
-        assert [c.id for c in graph.candidates] == list(range(len(graph)))
 
     def test_clusters_are_cliques(self):
         for seed in range(20):
@@ -53,7 +64,7 @@ class TestBuildGraph:
             for members in graph.clusters.values():
                 for i, u in enumerate(members):
                     for v in members[i + 1 :]:
-                        assert graph.adjacent(u, v)
+                        assert v in graph.neighbors(u)
 
     def test_graph_symmetric_and_loop_free(self):
         for seed in range(20):
@@ -64,43 +75,36 @@ class TestBuildGraph:
                     assert u in graph.neighbors(v)
 
     def test_candidate_interval_containment(self):
+        # the solvers read the activity model off the candidates: AM1 ones
+        # span their presence, AM2 ones start at it
         for seed in range(20):
             instance = random_instance(seed)
             for mode in AmMode:
                 graph = build_graph(instance, mode)
-                for c in graph.candidates:
-                    presence = instance.presences_of(c.label_id)[c.presence_index]
-                    assert presence.contains(c.interval)
-                    assert c.interval.length > 0
+                for lid, pi, start, end in candidate_keys(graph):
+                    presence = instance.presences_of(lid)[pi]
+                    assert presence.contains(TimeInterval(start, end))
+                    assert start < end
+                    if mode is AmMode.AM1:
+                        assert (start, end) == (presence.start, presence.end)
+                    if mode is AmMode.AM2:
+                        assert start == presence.start
 
     def test_candidate_nesting_am1_am2_am3(self):
         for seed in range(20):
             instance = random_instance(seed)
-            sets = {
-                mode: {
-                    (c.label_id, c.presence_index, c.interval.start, c.interval.end)
-                    for c in build_graph(instance, mode).candidates
-                }
-                for mode in AmMode
-            }
+            sets = {mode: set(candidate_keys(build_graph(instance, mode))) for mode in AmMode}
             assert sets[AmMode.AM1] <= sets[AmMode.AM2] <= sets[AmMode.AM3]
 
     @settings(max_examples=40, deadline=None)
     @given(instance_graph=instance_graphs())
     def test_candidates_match_columns(self, instance_graph):
         instance, graph = instance_graph
-        columns = zip(graph.starts, graph.ends, graph.weights, graph.label_ids, graph.presence_indices)
-        assert len(graph.candidates) == len(graph)
-        for v, (c, (start, end, weight, lid, pi)) in enumerate(zip(graph.candidates, columns)):
-            assert (c.id, c.interval, c.weight, c.label_id, c.presence_index) == (
-                v,
-                TimeInterval(start, end),
-                weight,
-                lid,
-                pi,
-            )
-            assert c.weight == c.interval.length * instance.labels[lid].weight
-            assert graph.clusters[c.cluster_key] == list(graph.cluster_of[c.id])
+        columns = (graph.starts, graph.ends, graph.weights, graph.label_ids, graph.presence_indices)
+        assert {len(column) for column in columns} == {len(graph)}
+        for v, (start, end, weight, lid, pi) in enumerate(zip(*columns)):
+            assert weight == TimeInterval(start, end).length * instance.labels[lid].weight
+            assert graph.clusters[lid, pi] == list(graph.cluster_of[v])
 
     def test_size_guard(self, i1, monkeypatch):
         monkeypatch.setattr(conflict_graph, "SIZE_LIMIT", 3)
@@ -113,7 +117,7 @@ class TestBuildGraph:
             graph = build_graph(instance, AmMode.AM3)
             selection = []
             for v in range(len(graph)):
-                if all(not graph.adjacent(v, u) for u in selection):
+                if graph.neighbors(v).isdisjoint(selection):
                     selection.append(v)
             phi = graph.to_activity_set(selection)
             assert check_valid(instance, phi).valid
@@ -138,17 +142,16 @@ def test_scenario_21_graph_size(scenario_21, mode, size):
 class TestCandidateConflict:
     def test_boundary_touch(self, i1):
         graph = build_graph(i1, AmMode.AM2)
-        c1 = next(c for c in graph.candidates if c.label_id == "l1" and c.interval.end == 10.0)
-        c2_short = next(c for c in graph.candidates if c.label_id == "l2" and c.interval.end == 4.0)
-        c2_full = next(c for c in graph.candidates if c.label_id == "l2" and c.interval.end == 10.0)
-        assert not graph.adjacent(c1.id, c2_short.id)
-        assert graph.adjacent(c1.id, c2_full.id)
+        [c1], [c2_short], [c2_full] = (
+            ids_of(graph, "l1", 10.0), ids_of(graph, "l2", 4.0), ids_of(graph, "l2", 10.0)
+        )
+        assert c2_short not in graph.neighbors(c1)
+        assert c2_full in graph.neighbors(c1)
 
     def test_no_conflict_entry(self, i1):
         graph = build_graph(i1, AmMode.AM1)
-        c1 = next(c for c in graph.candidates if c.label_id == "l1")
-        c3 = next(c for c in graph.candidates if c.label_id == "l3")
-        assert not graph.adjacent(c1.id, c3.id)
+        [c1], [c3] = ids_of(graph, "l1"), ids_of(graph, "l3")
+        assert c3 not in graph.neighbors(c1)
 
 
 def cluster_and_oracle_edges(instance, graph) -> set:
@@ -160,7 +163,7 @@ def cluster_and_oracle_edges(instance, graph) -> set:
         for v in members
         if u != v
     }
-    edges.update(frozenset(p) for p in _conflicting_pairs(instance, graph.candidates))
+    edges.update(frozenset(p) for p in _conflicting_pairs(instance, graph))
     return edges
 
 

@@ -45,10 +45,10 @@ def test_build_info_counts_match_oracle():
                 solvers.solve_greedy(instance, solvers.GMT, mode)
                 graph = build_graph(instance, mode)  # the untraced original
                 cliques = sum(len(m) * (len(m) - 1) // 2 for m in graph.clusters.values())
-                want = cliques + len(_conflicting_pairs(instance, graph.candidates))
+                want = cliques + len(_conflicting_pairs(instance, graph))
                 info = tracing._build_info((instance, mode), {}, graph)
-                assert (info["vertices"], info["edges"]) == (len(graph.candidates), want)
-                vertices += len(graph.candidates)
+                assert (info["vertices"], info["edges"]) == (len(graph), want)
+                vertices += len(graph)
                 edges += want
     finally:
         tracer.uninstall()

@@ -11,6 +11,7 @@ from chronolabel.model import TimeInterval, load_instance, make_activity_set, ob
 from chronolabel.scenario import extract_instance, synthesize_scenario
 from chronolabel.solvers import (
     GMT,
+    PlsParams,
     Problem,
     Status,
     _GroupSolver,
@@ -49,6 +50,11 @@ NAV_TIME_LIMIT = 1.1
 
 def nav_scenario(seed: int):
     return apply_min_activity(extract_instance(synthesize_scenario(seed)), 1.0)
+
+
+def by_weight(graph):
+    """Sort key: heaviest candidate first, ties by id."""
+    return lambda v: (-graph.weights[v], v)
 
 
 def slice_bound(instance, k: int) -> float:
@@ -179,9 +185,9 @@ class TestExact:
             graph = build_graph(instance, mode)
             for clusters in _label_groups(instance, graph):
                 part = {v for m in clusters for v in m}
-                requirements, alive = _witness_requirements(instance, graph, part, mode)
+                requirements = _witness_requirements(instance, graph, part)
                 kept = [
-                    sorted((v for v in m if v in alive), key=lambda v: (-graph.weight(v), v))
+                    sorted((v for v in m if v in requirements), key=by_weight(graph))
                     for m in clusters
                 ]
                 kept = [m for m in kept if m]
@@ -191,7 +197,7 @@ class TestExact:
                     {
                         j
                         for j, other in enumerate(kept)
-                        if j != i and any(graph.adjacent(u, v) for u in m for v in other)
+                        if j != i and any(not graph.neighbors(u).isdisjoint(other) for u in m)
                     }
                     for i, m in enumerate(kept)
                 ]
@@ -202,9 +208,9 @@ class TestExact:
         graph = build_graph(instance, mode)
         for clusters in _label_groups(instance, graph):
             part = {v for m in clusters for v in m}
-            requirements, alive = _witness_requirements(instance, graph, part, mode)
+            requirements = _witness_requirements(instance, graph, part)
             kept = [
-                tuple(sorted((v for v in m if v in alive), key=lambda v: (-graph.weight(v), v)))
+                tuple(sorted((v for v in m if v in requirements), key=by_weight(graph)))
                 for m in clusters
             ]
             kept = [m for m in kept if m]
@@ -221,12 +227,12 @@ class TestExact:
                         for b in range(min(len(kept[j]), 3)):
                             tail_a, tail_b = kept[i][a:], kept[j][b:]
                             want = max(
-                                [graph.weight(tail_a[0]), graph.weight(tail_b[0])]
+                                [graph.weights[tail_a[0]], graph.weights[tail_b[0]]]
                                 + [
-                                    graph.weight(u) + graph.weight(v)
+                                    graph.weights[u] + graph.weights[v]
                                     for u in tail_a
                                     for v in tail_b
-                                    if not graph.adjacent(u, v)
+                                    if v not in graph.neighbors(u)
                                 ]
                             )
                             assert solver._pair_best((tail_a[0], tail_b[0])) == want
@@ -237,7 +243,7 @@ class TestExact:
             bound = maxima = 0.0
             for graph, kept, solver in self._group_solvers(instance, mode):
                 bound += solver._bound(dict(enumerate(kept)))
-                maxima += sum(graph.weight(m[0]) for m in kept)
+                maxima += sum(graph.weights[m[0]] for m in kept)
             result = solve_exact(instance, GMT, mode, time_limit=60.0)
             assert result.status is Status.OPTIMAL
             assert result.objective <= bound * (1 + 1e-12)
@@ -377,26 +383,6 @@ def test_heuristics_never_derive_neighbor_sets(monkeypatch):
         solve_pls(instance, GMT, AmMode.AM3),
     ):
         assert check_model(instance, result.phi, AmMode.AM3).valid
-
-
-def test_solvers_never_materialize_candidates(monkeypatch):
-    def refuse(graph):
-        raise AssertionError("ConflictGraph.candidates materialized")
-
-    instances = [nav_scenario(21), navigation_corpus(1)[0][1]]
-    monkeypatch.setattr(ConflictGraph, "candidates", property(refuse))
-    for instance in instances:
-        for problem, mode, solve in (
-            (GMT, AmMode.AM3, solve_greedy),
-            (GMT, AmMode.AM3, solve_pls),
-            (GMT, AmMode.AM3, solve_intgraph),
-            (GMT, AmMode.AM3, solve_exact),
-            (krmt(2), AmMode.AM1, solve_exact),
-            (krmt(2), AmMode.AM3, solve_exact),
-        ):
-            args = {"time_limit": NAV_TIME_LIMIT} if solve is solve_exact else {}
-            result = solve(instance, problem, mode, **args)
-            assert check_model(instance, result.phi, mode, k=problem.k).valid
 
 
 class TestPls:
@@ -585,6 +571,29 @@ class TestMwisIntervals:
                 for b in picked[i + 1 :]:
                     ia, ib = items[a][0], items[b][0]
                     assert max(ia.start, ib.start) > min(ia.end, ib.end)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda i1: solve_exact(i1, GMT, AmMode.AM3, time_limit=float("nan")),
+        lambda i1: solve_pls(i1, GMT, AmMode.AM3, params=PlsParams(float("nan"))),
+        lambda i1: solve_pls(i1, GMT, AmMode.AM3, params=PlsParams(float("inf"))),
+    ],
+    ids=["exact-nan", "pls-nan", "pls-inf"],
+)
+def test_non_finite_budgets_rejected(i1, solve):
+    # a NaN deadline compares false forever, so the search would never stop
+    with pytest.raises(ValueError):
+        solve(i1)
+
+
+@pytest.mark.parametrize("limit", [0.0, float("inf")])
+def test_exact_zero_and_unbounded_limits(i1, limit):
+    # 0 gives up at once with the repaired greedy selection; inf never stops early
+    result = solve_exact(i1, GMT, AmMode.AM3, time_limit=limit)
+    assert result.status is (Status.FEASIBLE if limit == 0 else Status.OPTIMAL)
+    assert check_model(i1, result.phi, AmMode.AM3).valid
 
 
 def test_problem_validation():

@@ -163,12 +163,15 @@ class TestCheckModel:
         assert '"AM-start"' in report.to_json()
 
 
+def by_interval_of(graph) -> dict:
+    """(label, start, end) -> candidate id."""
+    return {key: v for v, key in enumerate(zip(graph.label_ids, graph.starts, graph.ends))}
+
+
 class TestSaturate:
     def test_maximum_selection_unchanged(self, i1):
         graph = build_graph(i1, AmMode.AM2)
-        by_interval = {
-            (c.label_id, c.interval.start, c.interval.end): c.id for c in graph.candidates
-        }
+        by_interval = by_interval_of(graph)
         best = {
             by_interval[("l1", 0.0, 10.0)],
             by_interval[("l2", 0.0, 4.0)],
@@ -180,9 +183,7 @@ class TestSaturate:
         graph = build_graph(i1, AmMode.AM2)
         # shorten l2's candidate artificially by selecting nothing for l2, then
         # check that selecting the short l2 candidate is upgraded
-        by_interval = {
-            (c.label_id, c.interval.start, c.interval.end): c.id for c in graph.candidates
-        }
+        by_interval = by_interval_of(graph)
         selection = {
             by_interval[("l1", 0.0, 10.0)],
             by_interval[("l3", 2.0, 8.0)],
@@ -192,9 +193,7 @@ class TestSaturate:
 
     def test_saturate_improves_weight_within_cluster(self, i1):
         graph = build_graph(i1, AmMode.AM3)
-        by_interval = {
-            (c.label_id, c.interval.start, c.interval.end): c.id for c in graph.candidates
-        }
+        by_interval = by_interval_of(graph)
         # l2 active on its suffix only; l1 unselected, so the full l2 candidate fits
         selection = {by_interval[("l2", 6.0, 10.0)]}
         result = saturate_excluding(i1, graph, selection)
@@ -217,7 +216,7 @@ class TestSaturate:
             # greedy-ish independent selection by id
             selection = set()
             for v in range(len(graph)):
-                if all(not graph.adjacent(v, u) for u in selection):
+                if graph.neighbors(v).isdisjoint(selection):
                     selection.add(v)
             once = saturate_excluding(instance, graph, selection)
             twice = saturate_excluding(instance, graph, once)
@@ -231,8 +230,8 @@ class TestSaturate:
             instance = random_instance(seed)
             graph = build_graph(instance, AmMode.AM1)
             selection = set()
-            for v in sorted(range(len(graph)), key=lambda v: -graph.weight(v)):
-                if all(not graph.adjacent(v, u) for u in selection):
+            for v in sorted(range(len(graph)), key=lambda v: -graph.weights[v]):
+                if graph.neighbors(v).isdisjoint(selection):
                     selection.add(v)
             saturated = saturate_excluding(instance, graph, selection)
             phi = graph.to_activity_set(saturated)
@@ -247,8 +246,8 @@ class TestSaturate:
         instance = random_instance(5)
         graph = build_graph(instance, AmMode.AM3)
         selection = set()
-        for v in sorted(range(len(graph)), key=lambda v: -graph.weight(v)):
-            if all(not graph.adjacent(v, u) for u in selection):
+        for v in sorted(range(len(graph)), key=lambda v: -graph.weights[v]):
+            if graph.neighbors(v).isdisjoint(selection):
                 selection.add(v)
         saturated = saturate_excluding(instance, graph, selection)
         phi = graph.to_activity_set(saturated)
@@ -257,7 +256,7 @@ class TestSaturate:
 
         from chronolabel.solvers import repair_selection
 
-        repaired = repair_selection(instance, graph, saturated, AmMode.AM3)
+        repaired = repair_selection(instance, graph, saturated)
         assert check_model(instance, graph.to_activity_set(repaired), AmMode.AM3).valid
 
 
@@ -276,7 +275,7 @@ def test_saturation_properties(instance_graph, shuffle_seed):
     assert all(graph.neighbors(v).isdisjoint(out) for v in out)
 
     def weight(sel) -> float:  # exact, whatever order the set is summed in
-        return math.fsum(graph.weight(v) for v in sel)
+        return math.fsum(graph.weights[v] for v in sel)
 
     assert weight(out) >= weight(selection)
     assert out == saturate_reference(graph, selection)
