@@ -285,8 +285,26 @@ def _k_sweep(
     for key, t in last_start.items():
         events[t][3].append(key)
 
-    # states by number of open candidates: (open, used) -> (weight, chain)
-    levels: Dict[int, Dict[tuple, tuple]] = {0: {(frozenset(), frozenset()): (0.0, None)}}
+    # states by number of open candidates: (open, used) -> (weight, chain).
+    # Levels are made in the order 0, 1, ..., and ``born`` numbers a state
+    # when its level's dict takes it in, so hits sorted by (level, born) come
+    # in the order of a scan over all states.
+    levels: Dict[int, Dict[tuple, tuple]] = {}
+    born: Dict[tuple, int] = {}
+    holders: Dict[int, set] = defaultdict(set)  # open candidate v, used cluster ~c -> states
+    clock = itertools.count()
+
+    def enter(key: tuple, value: tuple) -> None:
+        level = levels.setdefault(len(key[0]), {})
+        if key not in level:
+            born[key] = next(clock)
+            for member in (*key[0], *(~c for c in key[1])):
+                holders[member].add(key)
+        elif value[0] <= level[key][0]:
+            return
+        level[key] = value
+
+    enter((frozenset(), frozenset()), (0.0, None))
     for t in sorted(events):
         starting, ending, checks, expiring = events[t]
         for v in starting:
@@ -300,21 +318,20 @@ def _k_sweep(
                         return None
                     if mine in used or not adj.isdisjoint(open_):
                         continue
-                    if len(open_.difference(ending)) < k:
+                    if not ending or len(open_.difference(ending)) < k:
                         grown.append(((open_ | {v}, used), (weight + w, (v, chain))))
             for key, value in grown:  # all new: v is in no open set yet
-                levels.setdefault(len(key[0]), {})[key] = value
-        touched = {*ending, *(v for v, _ in checks)}
-        if not (touched or expiring):
-            continue
+                enter(key, value)
+        members = (*ending, *(v for v, _ in checks), *(~c for c in expiring))
         moved = []
-        for level in levels.values():
-            hit = [
-                key
-                for key in level
-                if not (key[0].isdisjoint(touched) and key[1].isdisjoint(expiring))
-            ]
-            moved.extend((key, level.pop(key)) for key in hit)
+        for key in sorted(
+            {key for member in members for key in holders.get(member, ())},
+            key=lambda key: (len(key[0]), born[key]),
+        ):
+            moved.append((key, levels[len(key[0])].pop(key)))
+            del born[key]
+            for member in (*key[0], *(~c for c in key[1])):
+                holders[member].discard(key)
         for (open_, used), value in moved:
             if deadline.check():
                 return None
@@ -323,10 +340,7 @@ def _k_sweep(
             used = used.difference(expiring).union(
                 cluster[u] for u in open_ if u in ending and last_start[cluster[u]] > t
             )
-            key = (open_.difference(ending), used)
-            level = levels.setdefault(len(key[0]), {})
-            if key not in level or value[0] > level[key][0]:
-                level[key] = value
+            enter((open_.difference(ending), used), value)
 
     ((_, chain),) = levels[0].values()
     selection = set()
@@ -1011,20 +1025,18 @@ def mwis_intervals(items: Sequence[Tuple[TimeInterval, float]]) -> List[int]:
     earlier-ending intervals (ties by input position).
     """
     keyed = sorted([(iv.end, iv.start, i, w) for i, (iv, w) in enumerate(items)])
-    ends = [key[0] for key in keyed]
+    ends, starts, index, weight = zip(*keyed) if keyed else ((), (), (), ())
     # p[j]: number of intervals (in end order) finishing strictly before start of j
-    opt = [0.0] * (len(keyed) + 1)
-    p = [0] * len(keyed)
-    for j, (_, start, _, w) in enumerate(keyed):
-        p[j] = bisect.bisect_left(ends, start)
-        opt[j + 1] = max(opt[j], w + opt[p[j]])
+    p = list(map(bisect.bisect_left, itertools.repeat(ends), starts))
+    opt = [0.0]
+    for w, before in zip(weight, p):
+        best, take = opt[-1], w + opt[before]
+        opt.append(take if take > best else best)
     chosen: List[int] = []
     j = len(keyed)
     while j > 0:
-        _, _, idx, w = keyed[j - 1]
-        take = w + opt[p[j - 1]]
-        if take > opt[j - 1]:
-            chosen.append(idx)
+        if weight[j - 1] + opt[p[j - 1]] > opt[j - 1]:
+            chosen.append(index[j - 1])
             j = p[j - 1]
         else:
             j -= 1

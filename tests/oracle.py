@@ -1,9 +1,12 @@
 """Brute-force reference implementations used only by the tests."""
 
 import itertools
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from chronolabel.conflict_graph import build_graph
+import numpy as np
+
+from chronolabel.conflict_graph import ConflictGraph, build_graph
 from chronolabel.model import Instance, TimeInterval, make_activity_set, objective
 from chronolabel.solvers import _IgVertex, _shorten, mwis_intervals
 from chronolabel.validation import AmMode, check_model
@@ -121,6 +124,53 @@ def pls_rescan(graph, selected) -> tuple:
     tight = [len(graph.neighbors(v) & selected) for v in range(len(graph))]
     free = [v for v in range(len(graph)) if v not in selected]
     return tight, {v for v in free if tight[v] == 0}, {v for v in free if tight[v] == 1}
+
+
+def build_graph_reference(instance: Instance, mode: AmMode) -> ConflictGraph:
+    """``build_graph`` one presence and one conflicting label pair at a time.
+
+    Per presence, the candidates are the sorted (open, close) pairs with
+    open < close; per pair of labels, the block tests every candidate pair's
+    open overlap (lo, hi) against each conflict of the two labels.  No size
+    guard.
+    """
+    rows: List[tuple] = []  # (start, end, weight, label id, presence index) per id
+    clusters: Dict[tuple, List[int]] = {}
+    span: Dict[str, slice] = {}  # label -> its candidate ids, if it has any
+    for lid in sorted(instance.presences):
+        weight = instance.labels[lid].weight
+        first = len(rows)
+        for pi, presence in enumerate(instance.presences_of(lid)):
+            opens, closes = {presence.start}, {presence.end}
+            if mode is not AmMode.AM1:
+                for _, iv in instance.conflicts_of(lid):
+                    if presence.contains(iv):
+                        closes.add(iv.start)
+                        if mode is AmMode.AM3:
+                            opens.add(iv.end)
+            pairs = sorted((s, t) for s in opens for t in closes if s < t)
+            clusters[lid, pi] = list(range(len(rows), len(rows) + len(pairs)))
+            rows += [(s, t, (t - s) * weight, lid, pi) for s, t in pairs]
+        if len(rows) > first:
+            span[lid] = slice(first, len(rows))
+    columns = tuple(map(list, zip(*rows))) or ([], [], [], [], [])
+
+    start_at, end_at = np.array(columns[0]), np.array(columns[1])
+    edge_count = sum(len(m) * (len(m) - 1) // 2 for m in clusters.values())
+    blocks: Dict[Tuple[str, str], np.ndarray] = {}
+    for a, b in sorted({e.pair for e in instance.conflicts}):
+        if a not in span or b not in span:
+            continue
+        sa, sb = span[a], span[b]
+        lo = np.maximum.outer(start_at[sa], start_at[sb])
+        hi = np.minimum.outer(end_at[sa], end_at[sb])
+        hits = [(c.start < hi) & (c.end > lo) for c in instance.conflicts_between(a, b)]
+        meets = reduce(np.logical_or, hits) & (lo < hi)
+        count = int(np.count_nonzero(meets))
+        edge_count += count
+        if count:
+            blocks[a, b] = meets
+    return ConflictGraph(columns, clusters, blocks, edge_count)
 
 
 def _conflicting_pairs(instance: Instance, graph) -> set:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -9,7 +10,7 @@ from chronolabel.scenario import extract_instance, synthesize_scenario
 from chronolabel.validation import AmMode, check_valid
 
 from conftest import instance_graphs, navigation_corpus, random_instance
-from oracle import _conflicting_pairs
+from oracle import _conflicting_pairs, build_graph_reference
 
 
 def intervals_of(graph, label):
@@ -111,6 +112,23 @@ class TestBuildGraph:
         with pytest.raises(SizeLimitExceeded):
             build_graph(i1, AmMode.AM3)
 
+    def test_edge_guard(self, monkeypatch):
+        # four labels in pairwise conflict: 4 candidates and 6 cross edges at AM1
+        lids = ("a", "b", "c", "d")
+        instance = Instance(
+            horizon=10.0,
+            labels={lid: Label(lid, 1.0, lid) for lid in lids},
+            presences={lid: (TimeInterval(0.0, 10.0),) for lid in lids},
+            conflicts=tuple(
+                ConflictEntry(a, b, TimeInterval(4.0, 6.0)) for a in lids for b in lids if a < b
+            ),
+        )
+        monkeypatch.setattr(conflict_graph, "SIZE_LIMIT", 4)
+        with pytest.raises(SizeLimitExceeded, match="edges"):
+            build_graph(instance, AmMode.AM1)
+        monkeypatch.setattr(conflict_graph, "SIZE_LIMIT", 6)
+        assert build_graph(instance, AmMode.AM1).edge_count == 6
+
     def test_independent_set_passes_check_valid(self):
         for seed in range(30):
             instance = random_instance(seed)
@@ -197,3 +215,44 @@ def test_zero_length_presence_with_zero_length_conflict():
         sizes.append((len(graph), graph.edge_count))
     assert sizes == [(1, 0), (2, 1), (3, 3)]
 
+
+
+def blocks_of(graph) -> dict:
+    """The graph's boolean block per conflicting label pair, by (a, b) with a < b."""
+    return {
+        (a, graph.label_ids[first]): block
+        for a, rows in graph._rows.items()
+        for first, block in rows
+        if a < graph.label_ids[first]
+    }
+
+
+def assert_same_graph(graph, reference):
+    columns = ("starts", "ends", "weights", "label_ids", "presence_indices")
+    for name in columns:
+        assert getattr(graph, name) == getattr(reference, name), name
+    assert list(graph.clusters.items()) == list(reference.clusters.items())
+    assert graph.edge_count == reference.edge_count
+    blocks, expected = blocks_of(graph), blocks_of(reference)
+    assert list(blocks) == list(expected)
+    for pair, block in blocks.items():
+        assert block.dtype == bool and np.array_equal(block, expected[pair]), pair
+
+
+def test_graph_matches_reference_builder():
+    instances = [random_instance(seed) for seed in range(50)]
+    instances += [instance for _, instance in navigation_corpus(3)]
+    for instance in instances:
+        for mode in AmMode:
+            assert_same_graph(build_graph(instance, mode), build_graph_reference(instance, mode))
+
+
+@pytest.mark.parametrize("mode", list(AmMode), ids=["am1", "am2", "am3"])
+def test_graph_matches_reference_builder_generated(mode):
+    @settings(max_examples=20, deadline=None)
+    @given(instance_graph=instance_graphs(modes=(mode,)))
+    def check(instance_graph):
+        instance, graph = instance_graph
+        assert_same_graph(graph, build_graph_reference(instance, mode))
+
+    check()
