@@ -358,11 +358,9 @@ def ratio_rows(rows: Sequence[dict]) -> List[dict]:
         if row["algorithm"] == "exact":
             exact[(row["instance"], row["problem"], row["k"], row["mode"])] = row
     out = []
-    seen = set()
     for (instance, problem, k, mode), row in sorted(exact.items()):
-        if (instance, problem, k) in seen or mode != "AM1":
+        if mode != "AM1":
             continue
-        seen.add((instance, problem, k))
         base = row["objective"]
         entry = {
             "instance": instance,

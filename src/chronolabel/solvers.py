@@ -10,6 +10,14 @@ active labels.  Four approaches are provided:
 * ``solve_pls``      phased local search on the candidate graph
 * ``solve_intgraph`` iterated max-weight independent sets on the interval
                      graph of (shortened) presence intervals
+
+The activity models are nested: an AM1 solution is AM2-valid and an AM2
+solution AM3-valid.  ``solve_exact`` therefore builds the asked model's graph
+once and, under one deadline, solves growing candidate sets of it: the
+full-presence candidates (the AM1 model), those starting at their presence
+start (the AM2 model), then all, each only if larger than the last.  A
+finished stage's optimum seeds the next, so a timed-out solve reports at
+least the last finished optimum and values keep AM1 <= AM2 <= AM3.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -227,23 +235,15 @@ def _witness_requirements(
         dead = []
         for v in alive:
             presence = _presence(instance, graph, v)
-            reqs = []
-            usable = True
             conflicts = instance.conflicts_of(graph.label_ids[v])
             start, end = graph.starts[v], graph.ends[v]
+            inner = []  # (endpoint, partners whose conflict ends or starts there)
             if start != presence.start:
-                wit = witnesses(v, [other for other, iv in conflicts if iv.end == start], start)
-                if wit:
-                    reqs.append((start, wit))
-                else:
-                    usable = False
-            if usable and end != presence.end:
-                wit = witnesses(v, [other for other, iv in conflicts if iv.start == end], end)
-                if wit:
-                    reqs.append((end, wit))
-                else:
-                    usable = False
-            if usable:
+                inner.append((start, [other for other, iv in conflicts if iv.end == start]))
+            if end != presence.end:
+                inner.append((end, [other for other, iv in conflicts if iv.start == end]))
+            reqs = [(t, witnesses(v, partners, t)) for t, partners in inner]
+            if all(wit for _, wit in reqs):
                 requirements[v] = reqs
             else:
                 dead.append(v)
@@ -372,9 +372,9 @@ def _slice_bound(instance: Instance, k: int) -> float:
     return total
 
 
-def _label_groups(instance: Instance, graph: ConflictGraph) -> List[List[List[int]]]:
-    """Partition the clusters by connected components of the *label* conflict
-    graph (labels as nodes, one edge per conflicting pair).
+def _label_groups(instance: Instance, graph: ConflictGraph) -> List[set]:
+    """Partition the candidates by connected components of the *label*
+    conflict graph (labels as nodes, one edge per conflicting pair).
 
     Candidate edges only exist between conflicting labels, so this refines
     nothing away; unlike candidate-graph components it also keeps every
@@ -394,10 +394,10 @@ def _label_groups(instance: Instance, graph: ConflictGraph) -> List[List[List[in
         if ra != rb:
             parent[ra] = rb
 
-    out: Dict[str, List[List[int]]] = {}
+    out: Dict[str, set] = {}
     for key, members in graph.clusters.items():
         if members:
-            out.setdefault(find(key[0]), []).append(members)
+            out.setdefault(find(key[0]), set()).update(members)
     return [out[root] for root in sorted(out)]
 
 
@@ -700,28 +700,34 @@ class _GroupSolver:
 def _solve_group(
     instance: Instance,
     graph: ConflictGraph,
-    clusters: List[List[int]],
+    part: set,
     deadline: _Deadline,
+    seed: Iterable[int] = (),
 ) -> Tuple[set, bool, float]:
-    """Optimal selection for one label group: (selection, proven optimal, upper bound).
+    """Optimal selection from ``part``, candidates of one label group:
+    (selection, proven optimal, upper bound).
 
+    The warm start is the heavier of ``seed``, a model-valid selection such
+    as the optimum of a smaller part, and the repaired greedy selection.
     Candidates that can never be justified are removed up front (see
     :func:`_witness_requirements`); the rest is handed to the decomposing
-    branch-and-bound.  On timeout the repaired greedy selection is returned
-    with the pair-matching upper bound (:meth:`_GroupSolver._shares`).
+    branch-and-bound.  On timeout the warm start is returned with the
+    pair-matching upper bound (:meth:`_GroupSolver._shares`); a part reached
+    after the deadline skips the witness fixpoint and is bounded over all
+    its candidates.
     """
-    part = {v for m in clusters for v in m}
-    warm = repair_selection(instance, graph, _greedy_selection(graph, None, within=part))
-    requirements = _witness_requirements(instance, graph, part)
-    kept = [
-        tuple(sorted((v for v in m if v in requirements), key=lambda v: (-graph.weights[v], v)))
-        for m in clusters
-    ]
-    kept = [m for m in kept if m]
+    greedy = repair_selection(instance, graph, _greedy_selection(graph, None, within=part))
+    warm = max(greedy, set(seed), key=graph.selection_weight)
+    warm_weight = graph.selection_weight(warm)
+    # past the deadline: no fixpoint, and the search below times out at once
+    requirements = {} if deadline.hit else _witness_requirements(instance, graph, part)
+    clusters: Dict[int, List[int]] = {}  # by first id, heaviest candidate first
+    for v in sorted(part if deadline.hit else requirements, key=lambda v: (-graph.weights[v], v)):
+        clusters.setdefault(graph.cluster_of[v].start, []).append(v)
+    kept = [tuple(clusters[first]) for first in sorted(clusters)]
     depth_needed = 8 * len(kept) + 200
     if sys.getrecursionlimit() < depth_needed:
         sys.setrecursionlimit(depth_needed)
-    warm_weight = graph.selection_weight(warm)
     solver = _GroupSolver(graph, requirements, kept, deadline)
     avail = dict(enumerate(kept))
     try:
@@ -733,71 +739,66 @@ def _solve_group(
     return set(res[0]), True, res[1]
 
 
-def _solve_krmt(
-    instance: Instance, graph: ConflictGraph, k: int, deadline: _Deadline
-) -> Tuple[set, bool, float]:
-    """KRMT (selection, proven optimal, upper bound).
-
-    Sweeps growing candidate sets, each optimum valid in every later one:
-    the full-presence candidates (the AM1 graph), if some start inside their
-    presence the candidates starting at their presence start (the AM2
-    graph), then all candidates.
-    A finished sweep that reaches the slice bound is optimal and ends the
-    search.  On timeout the last finished optimum is returned, so reported values keep
-    AM1 <= AM2 <= AM3; if none finished, the greedy selection.
-    """
-    bound = _slice_bound(instance, k)
-    reached = bound * (1 - 1e-9)  # equal sums may round differently
-    full = {v for v in range(len(graph)) if graph.interval(v) == _presence(instance, graph, v)}
-    best = _k_sweep(graph, dict.fromkeys(full, ()), k, deadline)
-    if best is None:
-        return _greedy_selection(graph, k, within=full), False, bound
-    if len(full) == len(graph) or graph.selection_weight(best) >= reached:
-        return best, True, bound
-    requirements = _witness_requirements(instance, graph, set(range(len(graph))))
-    parts = [requirements]
-    prefixes = {v for v in requirements if graph.starts[v] == _presence(instance, graph, v).start}
-    if len(prefixes) < len(requirements):
-        # a prefix candidate whose witnesses all start later is never
-        # justified among prefixes: the fixpoint over them is the AM2 one
-        parts.insert(0, _witness_requirements(instance, graph, prefixes))
-    for part_requirements in parts:
-        wider = _k_sweep(graph, part_requirements, k, deadline)
-        if wider is None:
-            return best, False, bound
-        best = wider
-        if graph.selection_weight(best) >= reached:
-            break
-    return best, True, bound
-
-
 def solve_exact(
     instance: Instance,
     problem: Problem,
     mode: AmMode,
     time_limit: float = 600.0,
 ) -> SolveResult:
-    """Optimal activity set: branch-and-bound (GMT) or a time sweep (KRMT)."""
+    """Optimal activity set: branch-and-bound (GMT) or a time sweep (KRMT),
+    over the model chain described in the module docstring."""
     started = time.perf_counter()
     try:
         graph = build_graph(instance, mode)
     except SizeLimitExceeded:
         return _result(instance, _empty_phi(), Status.SIZE_ABORT, started)
     deadline = _Deadline(time_limit)
+    presences = [_presence(instance, graph, v) for v in range(len(graph))]
+    stages: List[set] = []
+    for subset in (
+        {v for v, p in enumerate(presences) if graph.interval(v) == p},
+        {v for v, p in enumerate(presences) if graph.starts[v] == p.start},
+        set(range(len(graph))),
+    ):
+        if not stages or len(subset) > len(stages[-1]):
+            stages.append(subset)
 
     if problem.kind == "GMT":
         # Without a k bound the problem decomposes over the label conflict
-        # components; each part is solved independently.
-        selection: set = set()
-        upper = 0.0
-        optimal = True
-        for clusters in _label_groups(instance, graph):
-            sel, is_opt, part_upper = _solve_group(instance, graph, clusters, deadline)
-            selection |= sel
-            upper += part_upper
-            optimal = optimal and is_opt
+        # components; each stage solves every component whose part grew or
+        # is unproven, before the next stage starts.
+        groups = _label_groups(instance, graph)
+        sizes = [0] * len(groups)  # of the part each group was last solved on
+        found = [(set(), False, 0.0)] * len(groups)  # (selection, proven, bound)
+        for subset in stages:
+            for g, group in enumerate(groups):
+                if deadline.hit and subset is not stages[-1]:
+                    break
+                part = group & subset
+                if found[g][1] and len(part) == sizes[g]:
+                    continue
+                sizes[g] = len(part)
+                found[g] = _solve_group(instance, graph, part, deadline, seed=found[g][0])
+        selection = set().union(*(sel for sel, _, _ in found))
+        optimal = all(ok for _, ok, _ in found)
+        upper = sum(bound for _, _, bound in found)
     else:
-        selection, optimal, upper = _solve_krmt(instance, graph, problem.k, deadline)
+        upper = _slice_bound(instance, problem.k)
+        selection, optimal = None, False
+        for subset in stages:
+            if deadline.hit:
+                break
+            requirements = _witness_requirements(instance, graph, subset)
+            swept = _k_sweep(graph, requirements, problem.k, deadline)
+            if swept is None:
+                break
+            selection = swept
+            # equal sums may round differently
+            optimal = subset is stages[-1] or graph.selection_weight(swept) >= upper * (1 - 1e-9)
+            if optimal:
+                break
+        if selection is None:
+            selection = _greedy_selection(graph, problem.k, within=stages[0])
     phi = graph.to_activity_set(selection)
     status = Status.OPTIMAL if optimal else Status.FEASIBLE
     return _result(instance, phi, status, started, upper_bound=upper)

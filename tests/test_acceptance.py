@@ -254,13 +254,12 @@ def test_criterion_7_am_ratio_direction(nav_corpus, nav_am1_exact):
         res2 = solve_exact(instance, GMT, AmMode.AM2, time_limit=AM2_CAP)
         res3 = solve_exact(instance, GMT, AmMode.AM3, time_limit=AM3_CAP)
         timeouts += (res2.status is Status.FEASIBLE) + (res3.status is Status.FEASIBLE)
-        # an optimal AM1 solution is AM2-valid and an AM2 solution AM3-valid,
-        # so the best known value per model is the max over the weaker ones;
-        # timed-out runs contribute their incumbent (a true lower bound)
-        am2 = max(res2.objective, am1)
-        am3 = max(res3.objective, am2)
-        ratios2.append(am2 / am1)
-        ratios3.append(am3 / am1)
+        # the models are nested, so even a timed-out run reports at least the
+        # weaker model's optimum (equal sums may round differently)
+        tol = 1e-9 * am1
+        assert am1 <= res2.objective + tol and res2.objective <= res3.objective + tol, seed
+        ratios2.append(res2.objective / am1)
+        ratios3.append(res3.objective / am1)
     mean2, mean3 = statistics.mean(ratios2), statistics.mean(ratios3)
     assert mean2 >= 1.00
     assert mean3 >= mean2

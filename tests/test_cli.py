@@ -11,7 +11,7 @@ from chronolabel.cli import (
     main,
 )
 from chronolabel.model import complexity, dump_instance, load_instance
-from chronolabel.scenario import dump_scenario, synthesize_scenario
+from chronolabel.scenario import dump_scenario, extract_instance, synthesize_scenario
 from chronolabel.solvers import SolveResult, Status
 from chronolabel.validation import AmMode
 from chronolabel.model import make_activity_set, TimeInterval
@@ -321,6 +321,23 @@ class TestBench:
                     assert float(row["am2_over_am1"]) >= 1.0
                 if row["am3_over_am1"]:
                     assert float(row["am3_over_am1"]) >= float(row["am2_over_am1"]) - 1e-9
+
+    def test_capped_am3_ratio_not_below_am2(self, tmp_path):
+        """Scenario 21's AM3 search times out at 0.5 s; its reported value
+        still keeps the AM2 optimum it is seeded with."""
+        import csv
+
+        instance_dir = tmp_path / "instances"
+        instance_dir.mkdir()
+        instance = apply_min_activity(extract_instance(synthesize_scenario(21)), 1.0)
+        (instance_dir / "s21.json").write_text(dump_instance(instance))
+        out_dir = tmp_path / "bench"
+        rc = main(["bench", str(instance_dir), "--out-dir", str(out_dir),
+                   "--algos", "exact", "--time-limit", "0.5"])
+        assert rc == 0
+        with (out_dir / "ratios.csv").open() as handle:
+            (row,) = csv.DictReader(handle)
+        assert float(row["am3_over_am1"]) >= float(row["am2_over_am1"])
 
     def test_each_file_parsed_once(self, instance_dir, tmp_path, monkeypatch):
         import chronolabel.cli as cli

@@ -57,6 +57,14 @@ def by_weight(graph):
     return lambda v: (-graph.weights[v], v)
 
 
+def usable_clusters(graph, requirements):
+    """The clusters' candidates kept by a witness fixpoint, heaviest first,
+    in cluster order; clusters left empty are dropped."""
+    kept = [tuple(sorted((v for v in m if v in requirements), key=by_weight(graph)))
+            for m in graph.clusters.values()]
+    return [m for m in kept if m]
+
+
 def slice_bound(instance, k: int) -> float:
     """Per slice between presence endpoints: length times the k largest
     weights of the labels present at its midpoint."""
@@ -155,21 +163,36 @@ class TestExact:
         assert result.upper_bound >= result.objective
         assert result.upper_bound == pytest.approx(474.0, abs=0.05)
 
-    def test_krmt_model_order_with_short_am3_limit(self):
-        for seed, instance in navigation_corpus(MILP_NAV_INSTANCES):
-            for k in (1, 2):
-                values = []
-                for mode in AmMode:
-                    limit = NAV_TIME_LIMIT if mode is AmMode.AM3 else 60.0
-                    result = solve_exact(instance, krmt(k), mode, time_limit=limit)
-                    assert check_model(instance, result.phi, mode, k=k).valid
-                    if result.status is Status.FEASIBLE:
-                        bound = slice_bound(instance, k)
-                        assert result.upper_bound == pytest.approx(bound, rel=1e-9)
-                    values.append(result.objective)
-                # equal optima may sum their activities in another order
-                tol = 1e-9 * values[0]
-                assert values[0] <= values[1] + tol and values[1] <= values[2] + tol, (seed, k)
+    def test_model_order_with_short_am3_limit(self, monkeypatch):
+        builds = []
+
+        def counting_build(instance, mode):
+            builds.append(mode)
+            return build_graph(instance, mode)
+
+        monkeypatch.setattr("chronolabel.solvers.build_graph", counting_build)
+        # scenario 21's GMT/AM3 search does not finish within 0.5 s
+        cases = [(21, nav_scenario(21), GMT, 0.5)] + [
+            (seed, instance, problem, NAV_TIME_LIMIT)
+            for seed, instance in navigation_corpus(MILP_NAV_INSTANCES)
+            for problem in (GMT, krmt(1), krmt(2))
+        ]
+        for seed, instance, problem, am3_limit in cases:
+            values = []
+            for mode in AmMode:
+                limit = am3_limit if mode is AmMode.AM3 else 60.0
+                builds.clear()
+                result = solve_exact(instance, problem, mode, time_limit=limit)
+                assert builds == [mode]
+                assert check_model(instance, result.phi, mode, k=problem.k).valid
+                if result.status is Status.FEASIBLE and problem.k is not None:
+                    bound = slice_bound(instance, problem.k)
+                    assert result.upper_bound == pytest.approx(bound, rel=1e-9)
+                assert result.upper_bound >= result.objective * (1 - 1e-9)
+                values.append(result.objective)
+            # equal optima may sum their activities in another order
+            tol = 1e-9 * values[0]
+            assert values[0] <= values[1] + tol and values[1] <= values[2] + tol, (seed, problem)
 
     def test_krmt_am1_proven_within_nav_limit(self):
         instances = [(21, nav_scenario(21))] + navigation_corpus(20)
@@ -183,14 +206,9 @@ class TestExact:
     def test_cluster_adjacency_from_full_presence_candidates(self, mode):
         for _, instance in navigation_corpus(3):
             graph = build_graph(instance, mode)
-            for clusters in _label_groups(instance, graph):
-                part = {v for m in clusters for v in m}
+            for part in _label_groups(instance, graph):
                 requirements = _witness_requirements(instance, graph, part)
-                kept = [
-                    sorted((v for v in m if v in requirements), key=by_weight(graph))
-                    for m in clusters
-                ]
-                kept = [m for m in kept if m]
+                kept = usable_clusters(graph, requirements)
                 solver = _GroupSolver(graph, requirements, kept, deadline=None)
                 # two clusters are linked iff any of their candidates are adjacent
                 expected = [
@@ -206,14 +224,9 @@ class TestExact:
     @staticmethod
     def _group_solvers(instance, mode):
         graph = build_graph(instance, mode)
-        for clusters in _label_groups(instance, graph):
-            part = {v for m in clusters for v in m}
+        for part in _label_groups(instance, graph):
             requirements = _witness_requirements(instance, graph, part)
-            kept = [
-                tuple(sorted((v for v in m if v in requirements), key=by_weight(graph)))
-                for m in clusters
-            ]
-            kept = [m for m in kept if m]
+            kept = usable_clusters(graph, requirements)
             yield graph, kept, _GroupSolver(graph, requirements, kept, deadline=None)
 
     @pytest.mark.parametrize("mode", list(AmMode))
