@@ -12,7 +12,9 @@ the viewport, conflict intervals the maximal ranges during which two boxes
 intersect.  State changes are detected on a uniform sampling grid and
 refined by one batched bisection; both evaluate the same vectorized
 geometry (:func:`viewport_poses`, :func:`label_boxes`, :func:`in_view`,
-:func:`overlap`).
+:func:`overlap`).  The poi x sample grid is evaluated in cache-sized
+chunks, one poi row each, and a pair's overlap signal only over the joint
+visibility window, from the first to the last sample showing both labels.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -170,6 +173,19 @@ class _Arc:
 class Trajectory:
     pieces: tuple
     duration: float
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Piece parameters by column: t0, speed, length, then a segment's p0,
+        direction and radius 0, or an arc's center, a0, side and radius."""
+        return np.array(
+            [
+                (p.t0, p.speed, p.length, *p.center, p.a0, p.side, p.radius)
+                if p.is_arc
+                else (p.t0, p.speed, p.length, *p.p0, *p.direction, 0.0)
+                for p in self.pieces
+            ]
+        ).T.copy()
 
 
 _COLLINEAR_EPS = 1e-12
@@ -329,15 +345,19 @@ def viewport_poses(trajectory: Trajectory, zoom_plan: ZoomPlan, base_ppm: float,
     ts = np.asarray(ts, dtype=float)
     if ts.size and not (ts.min() >= 0 and ts.max() <= trajectory.duration):
         raise ValueError(f"times outside [0, {trajectory.duration}]")
-    pieces = trajectory.pieces
-    idx = np.searchsorted([p.t0 for p in pieces], ts, side="right") - 1
-    idx = np.clip(idx, 0, len(pieces) - 1)
-    cx, cy, hx, hy = (np.empty_like(ts) for _ in range(4))
-    for k, piece in enumerate(pieces):
-        sel = idx == k
-        if sel.any():
-            s = np.minimum((ts[sel] - piece.t0) * piece.speed, piece.length)
-            cx[sel], cy[sel], hx[sel], hy[sel] = piece.pose(s)
+    table = trajectory.table
+    idx = np.searchsorted(table[0], ts, side="right") - 1
+    t0, speed, length, ox, oy, u, v, radius = table[:, np.clip(idx, 0, table.shape[1] - 1)]
+    s = np.minimum((ts - t0) * speed, length)
+    # each sample takes its piece's formula, in the order _Segment.pose and
+    # _Arc.pose evaluate it, so the poses equal theirs bit for bit
+    cx, cy, hx, hy = ox + u * s, oy + v * s, u, v
+    arc = radius > 0
+    r, side = radius[arc], v[arc]
+    a = u[arc] + side * s[arc] / r
+    cos, sin = np.cos(a), np.sin(a)
+    cx[arc], cy[arc] = ox[arc] + r * cos, oy[arc] + r * sin
+    hx[arc], hy[arc] = -side * sin, side * cos
     return Poses(cx, cy, hx, hy, base_ppm * zoom_plan.z_at(ts))
 
 
@@ -385,7 +405,8 @@ def _signal_intervals(
     Each flip keeps halving its bracket (lo, hi] while hi - lo > eps, and
     its boundary is the final hi, within eps of the true switch.
     """
-    rows, cols = np.nonzero(states[:, 1:] != states[:, :-1])
+    flips = np.flatnonzero(states[:, 1:] != states[:, :-1])  # 2-D np.nonzero is slow
+    rows, cols = np.divmod(flips, ts.size - 1)
     lo, hi = ts[cols], ts[cols + 1]
     want = states[rows, cols + 1]
     live = np.flatnonzero(hi - lo > eps)
@@ -428,8 +449,18 @@ def extract_instance(scenario: Scenario) -> Instance:
     def boxes(k, poses):
         return label_boxes(poses, x[k], y[k], w[k], h[k])
 
-    grid = boxes(np.s_[:, None], pose(ts))  # one row per poi, one column per sample
-    visible = in_view(grid)
+    # the poi x sample visibility grid, one cache-sized row at a time; each
+    # poi keeps its boxes from its first to its last visible sample
+    poses = pose(ts)
+    visible = np.zeros((len(pois), ts.size), dtype=bool)
+    starts, own = np.zeros(len(pois), dtype=int), {}
+    for k in range(len(pois)):
+        box = boxes(k, poses)
+        visible[k] = in_view(box)
+        lo = starts[k] = visible[k].argmax()
+        if visible[k, lo]:
+            hi = ts.size - visible[k, ::-1].argmax()
+            own[k] = np.array([c[lo:hi] for c in box])
     label_ids = [f"p{i:03d}" for i in range(len(pois))]
     shown = _signal_intervals(
         visible, ts, lambda k, t: in_view(boxes(k, pose(t))), eps, min_len
@@ -437,18 +468,26 @@ def extract_instance(scenario: Scenario) -> Instance:
     presences = {label_ids[i]: ivs for i, ivs in enumerate(shown) if ivs}
 
     # pair prefilter: anchors close enough that the boxes could ever touch,
-    # measured at the smallest pixels-per-meter factor (widest view)
+    # measured at the smallest pixels-per-meter factor (widest view); the
+    # slack may only admit pairs far from touching, whose signal is empty
     min_ppm = scenario.base_ppm * min(plan.zooms)
-    present = [i for i in range(len(pois)) if label_ids[i] in presences]
-    row_boxes = list(zip(*grid))
+    present = np.array([i for i in range(len(pois)) if label_ids[i] in presences], dtype=int)
+    reach = np.array([p.diag_px for p in pois]) / min_ppm * (1 + 1e-9)
+    a, b = (present[k] for k in np.triu_indices(len(present), 1))
+    near = np.hypot(x[a] - x[b], y[a] - y[b]) <= reach[a] + reach[b]
+
+    # a pair's signal is false wherever one label is hidden, so its boxes are
+    # only compared between the first and last sample showing both
     pairs, overlaps = [], []
-    for ai, i in enumerate(present):
-        for j in present[ai + 1 :]:
-            reach = (pois[i].diag_px + pois[j].diag_px) / min_ppm
-            if math.hypot(pois[i].x - pois[j].x, pois[i].y - pois[j].y) > reach:
-                continue
-            signal = visible[i] & visible[j] & _intersects(row_boxes[i], row_boxes[j])
-            if signal.any():
+    for i, j in zip(a[near].tolist(), b[near].tolist()):
+        signal = visible[i] & visible[j]
+        lo = signal.argmax()
+        if signal[lo]:
+            hi = ts.size - signal[::-1].argmax()
+            box_i = own[i][:, lo - starts[i] : hi - starts[i]]
+            box_j = own[j][:, lo - starts[j] : hi - starts[j]]
+            signal[lo:hi] &= _intersects(box_i, box_j)
+            if signal[lo:hi].any():
                 pairs.append((i, j))
                 overlaps.append(signal)
     first, second = np.array(pairs, dtype=int).reshape(-1, 2).T

@@ -784,6 +784,11 @@ def solve_exact(
         upper = sum(bound for _, _, bound in found)
     else:
         upper = _slice_bound(instance, problem.k)
+
+        def reaches_bound(chosen: set) -> bool:
+            # equal sums may round differently
+            return graph.selection_weight(chosen) >= upper * (1 - 1e-9)
+
         selection, optimal = None, False
         for subset in stages:
             if deadline.hit:
@@ -793,12 +798,12 @@ def solve_exact(
             if swept is None:
                 break
             selection = swept
-            # equal sums may round differently
-            optimal = subset is stages[-1] or graph.selection_weight(swept) >= upper * (1 - 1e-9)
+            optimal = subset is stages[-1] or reaches_bound(swept)
             if optimal:
                 break
         if selection is None:
             selection = _greedy_selection(graph, problem.k, within=stages[0])
+            optimal = reaches_bound(selection)
     phi = graph.to_activity_set(selection)
     status = Status.OPTIMAL if optimal else Status.FEASIBLE
     return _result(instance, phi, status, started, upper_bound=upper)

@@ -1,13 +1,34 @@
 """Brute-force reference implementations used only by the tests."""
 
 import itertools
+import math
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from chronolabel.conflict_graph import ConflictGraph, build_graph
-from chronolabel.model import Instance, TimeInterval, make_activity_set, objective
+from chronolabel.model import (
+    ConflictEntry,
+    Instance,
+    Label,
+    TimeInterval,
+    make_activity_set,
+    objective,
+)
+from chronolabel.scenario import (
+    Poses,
+    Scenario,
+    Trajectory,
+    ZoomPlan,
+    _clip_to_presences,
+    _intersects,
+    build_zoom_plan,
+    in_view,
+    label_boxes,
+    overlap,
+    smooth_route,
+)
 from chronolabel.solvers import _IgVertex, _shorten, mwis_intervals
 from chronolabel.validation import AmMode, check_model
 
@@ -323,3 +344,123 @@ def intgraph_reference(instance: Instance, problem, mode: AmMode):
         ]
         vertices = [v for v in shortened if v is not None and v.interval.length > 0]
     return make_activity_set(chosen)
+
+
+def _signal_intervals_reference(
+    states: np.ndarray, ts: np.ndarray, predicate, eps: float, min_len: float
+) -> List[List[TimeInterval]]:
+    """Maximal true-ranges of sampled boolean signals, one per row, each
+    flip bisected to within eps (all flips in one batch)."""
+    rows, cols = np.nonzero(states[:, 1:] != states[:, :-1])
+    lo, hi = ts[cols], ts[cols + 1]
+    want = states[rows, cols + 1]
+    live = np.flatnonzero(hi - lo > eps)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        same = predicate(rows[live], mid) == want[live]
+        hi[live[same]] = mid[same]
+        lo[live[~same]] = mid[~same]
+        live = live[hi[live] - lo[live] > eps]
+
+    cuts = np.searchsorted(rows, np.arange(len(states) + 1))
+    start, end = float(ts[0]), float(ts[-1])
+    out = []
+    for r in range(len(states)):
+        edges = [start, *hi[cuts[r] : cuts[r + 1]].tolist(), end]
+        edges = edges[0 if states[r, 0] else 1 :]
+        out.append(
+            [TimeInterval(a, b) for a, b in zip(edges[::2], edges[1::2]) if b - a >= min_len]
+        )
+    return out
+
+
+def viewport_poses_reference(
+    trajectory: Trajectory, zoom_plan: ZoomPlan, base_ppm: float, ts
+) -> Poses:
+    """The viewport pose at each time of ``ts``, one boolean mask per piece."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.size and not (ts.min() >= 0 and ts.max() <= trajectory.duration):
+        raise ValueError(f"times outside [0, {trajectory.duration}]")
+    pieces = trajectory.pieces
+    idx = np.searchsorted([p.t0 for p in pieces], ts, side="right") - 1
+    idx = np.clip(idx, 0, len(pieces) - 1)
+    cx, cy, hx, hy = (np.empty_like(ts) for _ in range(4))
+    for k, piece in enumerate(pieces):
+        sel = idx == k
+        if sel.any():
+            s = np.minimum((ts[sel] - piece.t0) * piece.speed, piece.length)
+            cx[sel], cy[sel], hx[sel], hy[sel] = piece.pose(s)
+    return Poses(cx, cy, hx, hy, base_ppm * zoom_plan.z_at(ts))
+
+
+def extract_instance_reference(scenario: Scenario) -> Instance:
+    """Presence/conflict extraction over whole poi x sample grids: boxes of
+    every poi at every sample, and every pair that passes the distance
+    prefilter tested over the whole timeline."""
+    trajectory = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
+    plan = build_zoom_plan(scenario, trajectory)
+    eps = scenario.eps
+    min_len = 2 * eps
+    n = max(int(math.ceil(trajectory.duration / scenario.dt)), 1)
+    ts = np.minimum(np.arange(n + 1) * scenario.dt, trajectory.duration)
+
+    pois = scenario.pois
+    x, y, w, h = (
+        np.array([getattr(p, f) for p in pois], dtype=float) for f in ("x", "y", "w_px", "h_px")
+    )
+
+    def pose(t):
+        return viewport_poses_reference(trajectory, plan, scenario.base_ppm, t)
+
+    def boxes(k, poses):
+        return label_boxes(poses, x[k], y[k], w[k], h[k])
+
+    grid = boxes(np.s_[:, None], pose(ts))  # one row per poi, one column per sample
+    visible = in_view(grid)
+    label_ids = [f"p{i:03d}" for i in range(len(pois))]
+    shown = _signal_intervals_reference(
+        visible, ts, lambda k, t: in_view(boxes(k, pose(t))), eps, min_len
+    )
+    presences = {label_ids[i]: ivs for i, ivs in enumerate(shown) if ivs}
+
+    # pair prefilter: anchors close enough that the boxes could ever touch,
+    # measured at the smallest pixels-per-meter factor (widest view)
+    min_ppm = scenario.base_ppm * min(plan.zooms)
+    present = [i for i in range(len(pois)) if label_ids[i] in presences]
+    row_boxes = list(zip(*grid))
+    pairs, overlaps = [], []
+    for ai, i in enumerate(present):
+        for j in present[ai + 1 :]:
+            reach = (pois[i].diag_px + pois[j].diag_px) / min_ppm
+            if math.hypot(pois[i].x - pois[j].x, pois[i].y - pois[j].y) > reach:
+                continue
+            signal = visible[i] & visible[j] & _intersects(row_boxes[i], row_boxes[j])
+            if signal.any():
+                pairs.append((i, j))
+                overlaps.append(signal)
+    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+
+    def overlapping(k, t):
+        poses = pose(t)
+        return overlap(boxes(first[k], poses), boxes(second[k], poses))
+
+    conflicts: List[ConflictEntry] = []
+    raw = _signal_intervals_reference(
+        np.array(overlaps, dtype=bool).reshape(-1, ts.size), ts, overlapping, eps, min_len
+    )
+    for (i, j), intervals in zip(pairs, raw):
+        clipped = _clip_to_presences(
+            intervals, presences[label_ids[i]], presences[label_ids[j]], min_len
+        )
+        conflicts.extend(ConflictEntry(label_ids[i], label_ids[j], iv) for iv in clipped)
+
+    labels = {
+        label_ids[i]: Label(id=label_ids[i], weight=pois[i].weight, display_name=pois[i].name)
+        for i in present
+    }
+    return Instance(
+        horizon=trajectory.duration,
+        labels=labels,
+        presences={lid: tuple(sorted(ivs)) for lid, ivs in presences.items()},
+        conflicts=tuple(sorted(conflicts, key=lambda e: (e.a, e.b, e.interval))),
+    )

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chronolabel.model import IntegrityError, ParseError
+from chronolabel.cli import demo_scenario_text
+from chronolabel.model import IntegrityError, ParseError, dump_instance
 from chronolabel.scenario import (
     Poi,
     Poses,
@@ -23,6 +25,8 @@ from chronolabel.scenario import (
 )
 from dataclasses import replace
 
+from oracle import extract_instance_reference, viewport_poses_reference
+
 
 SCENARIO_JSON = json.dumps(
     {
@@ -35,6 +39,12 @@ SCENARIO_JSON = json.dumps(
 
 def small_scenario(seed: int) -> Scenario:
     return synthesize_scenario(seed, n_edges=6, n_pois=12, corridor=300.0)
+
+
+def colocated_scenario() -> Scenario:
+    """Two identical pois beside a straight route."""
+    a = Poi(x=100.0, y=1500.0, w_px=80.0, h_px=18.0)
+    return Scenario(route=((0.0, 0.0), (0.0, 3000.0)), speeds=(10.0,), pois=(a, a))
 
 
 def piece_pose(piece, s: float):
@@ -133,6 +143,38 @@ class TestZoomAndPose:
                     not p.is_arc and p.t0 <= start and end <= p.t1 for p in traj.pieces
                 )
 
+    def test_poses_at_piece_boundaries_equal_the_owning_piece(self):
+        # the owning piece is the one the side="right" lookup, clipped to
+        # range, picks; its own pose() must give the same bits
+        kinds = set()
+        for seed in range(5):
+            scenario = small_scenario(seed)
+            traj = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
+            plan = build_zoom_plan(scenario, traj)
+            ts = np.array(
+                [0.0, traj.duration, *(t for p in traj.pieces for t in (p.t0, p.t1))]
+            )
+            poses = viewport_poses(traj, plan, 1.0, ts)
+            owners = np.searchsorted([p.t0 for p in traj.pieces], ts, side="right") - 1
+            for k, t in enumerate(ts):
+                piece = traj.pieces[min(max(owners[k], 0), len(traj.pieces) - 1)]
+                s = np.minimum((ts[k : k + 1] - piece.t0) * piece.speed, piece.length)
+                got = tuple(float(c[k]) for c in poses[:4])
+                assert got == piece_pose(piece, float(s[0])), (seed, t)
+                kinds.add(piece.is_arc)
+        assert kinds == {False, True}
+
+    def test_poses_equal_per_piece_reference(self):
+        for seed in range(5):
+            scenario = small_scenario(seed)
+            traj = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
+            plan = build_zoom_plan(scenario, traj)
+            ts = np.linspace(0.0, traj.duration, 2001)
+            got = viewport_poses(traj, plan, scenario.base_ppm, ts)
+            want = viewport_poses_reference(traj, plan, scenario.base_ppm, ts)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), seed
+
     def test_pose_out_of_range(self):
         scenario = Scenario(route=((0.0, 0.0), (0.0, 100.0)), speeds=(10.0,), pois=())
         traj = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
@@ -192,9 +234,7 @@ class TestExtractInstance:
         assert intervals[0].length >= 60.0
 
     def test_colocated_pois_conflict_equals_presence_intersection(self):
-        a = Poi(x=100.0, y=1500.0, w_px=80.0, h_px=18.0)
-        b = Poi(x=100.0, y=1500.0, w_px=80.0, h_px=18.0)
-        scenario = Scenario(route=((0.0, 0.0), (0.0, 3000.0)), speeds=(10.0,), pois=(a, b))
+        scenario = colocated_scenario()
         instance = extract_instance(scenario)
         pres_a = instance.presences_of("p000")
         pres_b = instance.presences_of("p001")
@@ -245,6 +285,50 @@ class TestExtractInstance:
         # contained in both labels' presences.
         for seed in range(5):
             extract_instance(small_scenario(seed))
+
+
+class TestExtractMatchesReference:
+    """Extraction emits byte for byte the instance of the reference, which
+    evaluates whole poi x sample grids and every prefiltered pair over the
+    whole timeline (``tests/oracle.py``)."""
+
+    def test_synthesized_scenarios(self):
+        # scenario 21 is the benchmarks' reference scenario
+        for seed in sorted({*range(30), 21, *range(300, 310)}):
+            scenario = synthesize_scenario(seed)
+            got = dump_instance(extract_instance(scenario))
+            assert got == dump_instance(extract_instance_reference(scenario)), seed
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(load_scenario(demo_scenario_text()), id="demo"),
+            pytest.param(
+                Scenario(route=((0.0, 0.0), (0.0, 1000.0)), speeds=(10.0,), pois=()),
+                id="zero-pois",
+            ),
+            pytest.param(colocated_scenario(), id="colocated-pois"),
+        ],
+    )
+    def test_special_scenarios(self, scenario):
+        got = dump_instance(extract_instance(scenario))
+        assert got == dump_instance(extract_instance_reference(scenario))
+
+    def test_peak_memory_below_five_grids(self):
+        # a grid is one float64 per poi and sample; the whole-grid reference
+        # peaks at about 7 of them on this scenario
+        scenario = synthesize_scenario(0)
+        traj = smooth_route(scenario.route, scenario.speeds, scenario.smoothing_radius)
+        samples = max(math.ceil(traj.duration / scenario.dt), 1) + 1
+        grid = len(scenario.pois) * samples * 8
+        extract_instance(scenario)  # first-call allocations are not extraction's
+        tracemalloc.start()
+        try:
+            extract_instance(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * grid, peak / grid
 
 
 class TestSerialization:

@@ -272,6 +272,16 @@ class TestExact:
             assert result.objective == pytest.approx(slice_bound(instance, k), rel=1e-9)
         assert result.objective == pytest.approx(243.652, abs=1e-3)
 
+    def test_krmt_greedy_fallback_at_slice_bound_is_optimal(self):
+        # at time_limit 0 no sweep runs; scenario 21's greedy selection
+        # already meets the slice bound, which proves it
+        instance = nav_scenario(21)
+        for mode in AmMode:
+            result = solve_exact(instance, krmt(2), mode, time_limit=0.0)
+            assert result.status is Status.OPTIMAL, mode
+            assert result.objective == pytest.approx(result.upper_bound, rel=1e-9)
+            assert result.objective == pytest.approx(243.652, abs=1e-3)
+
     def test_k_monotone(self):
         for seed in range(10):
             instance = random_instance(seed, max_labels=4, max_conflicts=6)
