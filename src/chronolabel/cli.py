@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .conflict_graph import build_graph
+from .conflict_graph import SizeLimitExceeded, build_graph
 from .model import (
     Instance,
     IntegrityError,
@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 EXIT_TIMEOUT = 4
+SIZE_LIMIT_MESSAGE = "instance exceeds the candidate-graph size limit"
 
 ALGORITHMS = ("exact", "greedy", "pls", "intgraph")
 
@@ -101,13 +102,15 @@ def _seconds(text: str) -> float:
 
 
 def _items_of(allowed: Tuple[str, ...]):
-    """A comma-separated flag whose items are each one of ``allowed``."""
+    """A comma-separated flag of at least one item, each one of ``allowed``."""
 
     def parse(text: str) -> List[str]:
         items = [item for item in text.split(",") if item]
         unknown = [item for item in items if item not in allowed]
-        if unknown:
-            raise argparse.ArgumentTypeError(f"unknown {unknown} (choose from {','.join(allowed)})")
+        if unknown or not items:
+            raise argparse.ArgumentTypeError(
+                f"expected one or more of {','.join(allowed)}, got {text!r}"
+            )
         return items
 
     return parse
@@ -194,7 +197,7 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         )
         return EXIT_UNSUPPORTED
     if result.status is Status.SIZE_ABORT:
-        print("instance exceeds the candidate-graph size limit", file=sys.stderr)
+        print(SIZE_LIMIT_MESSAGE, file=sys.stderr)
         return EXIT_UNSUPPORTED
 
     # never emit a solution that fails its own conformance check
@@ -239,7 +242,11 @@ def cmd_validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 def cmd_graph_dump(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     instance = load_instance(_read(args.instance))
-    graph = build_graph(instance, AmMode(args.am))
+    try:
+        graph = build_graph(instance, AmMode(args.am))
+    except SizeLimitExceeded:
+        print(SIZE_LIMIT_MESSAGE, file=sys.stderr)
+        return EXIT_UNSUPPORTED
     doc = {
         "mode": AmMode(args.am).name,
         "candidates": [

@@ -72,10 +72,6 @@ class Poi:
         if self.weight <= 0:
             raise IntegrityError(f"poi {self.name!r}: weight must be positive")
 
-    @property
-    def diag_px(self) -> float:
-        return math.hypot(self.w_px, self.h_px)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -468,13 +464,15 @@ def extract_instance(scenario: Scenario) -> Instance:
     presences = {label_ids[i]: ivs for i, ivs in enumerate(shown) if ivs}
 
     # pair prefilter: anchors close enough that the boxes could ever touch,
-    # measured at the smallest pixels-per-meter factor (widest view); the
-    # slack may only admit pairs far from touching, whose signal is empty
+    # measured at the smallest pixels-per-meter factor (widest view).  Boxes
+    # sit on their anchors' bottom midpoints, so they meet only while the
+    # anchors are within (w_a + w_b) / 2 pixels across and max(h_a, h_b)
+    # along; the slack may only admit pairs far from touching
     min_ppm = scenario.base_ppm * min(plan.zooms)
     present = np.array([i for i in range(len(pois)) if label_ids[i] in presences], dtype=int)
-    reach = np.array([p.diag_px for p in pois]) / min_ppm * (1 + 1e-9)
     a, b = (present[k] for k in np.triu_indices(len(present), 1))
-    near = np.hypot(x[a] - x[b], y[a] - y[b]) <= reach[a] + reach[b]
+    reach = np.hypot((w[a] + w[b]) / 2, np.maximum(h[a], h[b])) / min_ppm * (1 + 1e-9)
+    near = np.hypot(x[a] - x[b], y[a] - y[b]) <= reach
 
     # a pair's signal is false wherever one label is hidden, so its boxes are
     # only compared between the first and last sample showing both

@@ -231,7 +231,7 @@ def _witness_requirements(
                 if u not in adj_v and graph.starts[u] <= t <= graph.ends[u]
             )
 
-        requirements: Dict[int, List[frozenset]] = {}
+        requirements: Dict[int, List[Tuple[float, frozenset]]] = {}
         dead = []
         for v in alive:
             presence = _presence(instance, graph, v)
@@ -423,7 +423,7 @@ class _GroupSolver:
     def __init__(
         self,
         graph: ConflictGraph,
-        requirements: Dict[int, List[frozenset]],
+        requirements: Dict[int, List[Tuple[float, frozenset]]],
         clusters: List[Tuple[int, ...]],
         deadline: _Deadline,
     ):
@@ -884,9 +884,9 @@ class _PlsState:
         n = len(graph)
         self.graph = graph
         self.weights = graph.weights
-        # heaviest first, ties by ascending id (the sort is stable)
-        self.order = sorted(range(n), key=self.weights.__getitem__, reverse=True)
-        self.rank = sorted(range(n), key=self.order.__getitem__)  # inverse of order
+        self.of_weight: Dict[float, List[int]] = {}  # weight -> its ids, ascending
+        for v, w in enumerate(self.weights):
+            self.of_weight.setdefault(w, []).append(v)
         self.tight = [0] * n
         self.selected: set = set()
         self.weight = 0.0
@@ -942,10 +942,8 @@ def _pls_select(state: _PlsState, pool: int, skip: set, phase: str, penalties: L
         best = min(map(penalties.__getitem__, free))
         ties = sorted(v for v in free if penalties[v] == best)
     else:  # greedy: the heaviest candidates (weighted-IS adaptation)
-        order, weights = state.order, state.weights
-        i = min(map(state.rank.__getitem__, free))
-        j = bisect.bisect_right(order, -weights[order[i]], lo=i, key=lambda v: -weights[v])
-        ties = [v for v in order[i:j] if v in free]
+        best = max(map(state.weights.__getitem__, free))
+        ties = [v for v in state.of_weight[best] if v in free]
     return ties[rng.randrange(len(ties))]
 
 
@@ -1061,42 +1059,6 @@ class _IgVertex:
     weight: float  # interval length times the label weight
 
 
-def _conflict_blocks(
-    instance: Instance,
-    vertex: _IgVertex,
-    chosen_by_label: Dict[str, List[TimeInterval]],
-) -> List[Tuple[float, float]]:
-    """Time windows the vertex interval's interior must avoid.
-
-    One window per (chosen activity, conflict interval) pair whose open
-    overlap with the vertex could be in conflict; ``chosen_by_label`` maps a
-    label id to its chosen activities.
-    """
-    blocks = []
-    for other_id, conflict in instance.conflicts_of(vertex.label_id):
-        for chosen_iv in chosen_by_label.get(other_id, ()):
-            if conflict.start < chosen_iv.end and conflict.end > chosen_iv.start:
-                blocks.append(
-                    (max(chosen_iv.start, conflict.start), min(chosen_iv.end, conflict.end))
-                )
-    return blocks
-
-
-def _justified_cut_points(
-    instance: Instance, label_id: str, chosen: Dict[str, List[TimeInterval]]
-) -> Tuple[List[float], List[float]]:
-    """(valid activity starts, valid activity ends) backed by active witnesses;
-    ``chosen`` maps a label id to all its chosen activities."""
-    starts, ends = [], []
-    for other_id, conflict in instance.conflicts_of(label_id):
-        for chosen_iv in chosen.get(other_id, ()):
-            if chosen_iv.start <= conflict.end <= chosen_iv.end:
-                starts.append(conflict.end)
-            if chosen_iv.start <= conflict.start <= chosen_iv.end:
-                ends.append(conflict.start)
-    return starts, ends
-
-
 def _shorten(
     instance: Instance,
     vertex: _IgVertex,
@@ -1107,64 +1069,51 @@ def _shorten(
     """Shorten a neighbor's interval so it no longer conflicts with the
     chosen activities, keeping its endpoints justified.
 
-    AM1 keeps the whole interval or nothing; AM2 the longest prefix; AM3 the
-    longest conflict-free prefix, infix or suffix (ties: earliest).  Returns
-    None when nothing justified and positive-length remains.
+    Returns the longest [s, t] inside the vertex whose open interior meets
+    no block (a conflict's overlap with an ``iteration_chosen`` activity),
+    ties to the earliest s, or None.  s is the vertex start or, under AM3, a
+    conflict end inside an ``all_chosen`` activity of the other label; t is
+    the vertex end or, under AM2 and AM3, such a conflict start.  Under AM1
+    any block meeting the vertex drops it.
     """
     a, b = vertex.interval.start, vertex.interval.end
-    blocks = [
-        (max(lo, a), min(hi, b))
-        for lo, hi in _conflict_blocks(instance, vertex, iteration_chosen)
-        if hi > a and lo < b
-    ]
-    if not blocks:
+    conflicts = instance.conflicts_of(vertex.label_id)
+    # (time, kind) with kinds 0 an end, 1 a block opens, 2 it closes, 3 a
+    # start: at equal times an end still reaches the start before a block
+    events = []
+    for other_id, c in conflicts:
+        for iv in iteration_chosen.get(other_id, ()):
+            lo, hi = max(iv.start, c.start), min(iv.end, c.end)
+            if c.start < iv.end and c.end > iv.start and hi > a and lo < b:
+                events += ((lo, 1), (hi, 2))
+    if not events:
         return vertex
-    blocks.sort()
-    merged: List[Tuple[float, float]] = []
-    for lo, hi in blocks:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-
-    # maximal sub-intervals of [a, b] whose interior avoids every block
-    pieces: List[Tuple[float, float]] = []
-    cursor = a
-    for lo, hi in merged:
-        if lo > cursor:
-            pieces.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if cursor < b:
-        pieces.append((cursor, b))
-
     if mode is AmMode.AM1:
-        pieces = [(s, t) for s, t in pieces if s == a and t == b]
-    elif mode is AmMode.AM2:
-        pieces = [(s, t) for s, t in pieces if s == a]
-
-    if not pieces:
         return None
-
-    just_starts, just_ends = _justified_cut_points(instance, vertex.label_id, all_chosen)
-    adjusted: List[Tuple[float, float]] = []
-    for s, t in pieces:
-        if s > a:
-            ok = [p for p in just_starts if s <= p < t]
-            if not ok:
-                continue
-            s = min(ok)
-        if t < b:
-            ok = [p for p in just_ends if s < p <= t]
-            if not ok:
-                continue
-            t = max(ok)
-        if s < t:
-            adjusted.append((s, t))
-    if not adjusted:
+    events += ((a, 3), (b, 0))
+    for other_id, c in conflicts:
+        for iv in all_chosen.get(other_id, ()):
+            if a < c.start < b and iv.start <= c.start <= iv.end:
+                events.append((c.start, 0))
+            if mode is AmMode.AM3 and a < c.end < b and iv.start <= c.end <= iv.end:
+                events.append((c.end, 3))
+    events.sort()
+    spans = []  # (length, -s, t): the earliest start since the last block, per end
+    s, depth = None, 0
+    for x, kind in events:
+        if kind == 0 and s is not None:
+            spans.append((x - s, -s, x))
+        elif kind == 1:
+            depth, s = depth + 1, None
+        elif kind == 2:
+            depth -= 1
+        elif kind == 3 and not depth and s is None:
+            s = x
+    if not spans:
         return None
-    s, t = max(adjusted, key=lambda p: (p[1] - p[0], -p[0]))
-    weight = (t - s) * instance.labels[vertex.label_id].weight
-    return _IgVertex(vertex.label_id, TimeInterval(s, t), weight)
+    length, s, t = max(spans)  # ties: the earliest start, then the latest end
+    weight = length * instance.labels[vertex.label_id].weight
+    return _IgVertex(vertex.label_id, TimeInterval(-s, t), weight)
 
 
 def solve_intgraph(

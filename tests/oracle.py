@@ -1,5 +1,6 @@
 """Brute-force reference implementations used only by the tests."""
 
+import bisect
 import itertools
 import math
 from functools import reduce
@@ -29,7 +30,7 @@ from chronolabel.scenario import (
     overlap,
     smooth_route,
 )
-from chronolabel.solvers import _IgVertex, _shorten, mwis_intervals
+from chronolabel.solvers import _IgVertex, _PlsState, mwis_intervals
 from chronolabel.validation import AmMode, check_model
 
 
@@ -318,9 +319,138 @@ def slice_bound_reference(instance: Instance, k: int) -> float:
     return total
 
 
+def _conflict_blocks(
+    instance: Instance,
+    vertex: _IgVertex,
+    chosen_by_label: Dict[str, List[TimeInterval]],
+) -> List[Tuple[float, float]]:
+    """Time windows the vertex interval's interior must avoid.
+
+    One window per (chosen activity, conflict interval) pair whose open
+    overlap with the vertex could be in conflict; ``chosen_by_label`` maps a
+    label id to its chosen activities.
+    """
+    blocks = []
+    for other_id, conflict in instance.conflicts_of(vertex.label_id):
+        for chosen_iv in chosen_by_label.get(other_id, ()):
+            if conflict.start < chosen_iv.end and conflict.end > chosen_iv.start:
+                blocks.append(
+                    (max(chosen_iv.start, conflict.start), min(chosen_iv.end, conflict.end))
+                )
+    return blocks
+
+
+def _justified_cut_points(
+    instance: Instance, label_id: str, chosen: Dict[str, List[TimeInterval]]
+) -> Tuple[List[float], List[float]]:
+    """(valid activity starts, valid activity ends) backed by active witnesses;
+    ``chosen`` maps a label id to all its chosen activities."""
+    starts, ends = [], []
+    for other_id, conflict in instance.conflicts_of(label_id):
+        for chosen_iv in chosen.get(other_id, ()):
+            if chosen_iv.start <= conflict.end <= chosen_iv.end:
+                starts.append(conflict.end)
+            if chosen_iv.start <= conflict.start <= chosen_iv.end:
+                ends.append(conflict.start)
+    return starts, ends
+
+
+def shorten_reference(
+    instance: Instance,
+    vertex: _IgVertex,
+    iteration_chosen: Dict[str, List[TimeInterval]],
+    all_chosen: Dict[str, List[TimeInterval]],
+    mode: AmMode,
+) -> Optional[_IgVertex]:
+    """IntGraph's shortening, piece by piece: blocks merged into the maximal
+    block-free pieces of the vertex, each piece snapped to justified
+    endpoints, the longest snapped piece kept.
+
+    AM1 keeps the whole interval or nothing; AM2 the longest prefix; AM3 the
+    longest conflict-free prefix, infix or suffix (ties: earliest).  Returns
+    None when nothing justified and positive-length remains.
+    """
+    a, b = vertex.interval.start, vertex.interval.end
+    blocks = [
+        (max(lo, a), min(hi, b))
+        for lo, hi in _conflict_blocks(instance, vertex, iteration_chosen)
+        if hi > a and lo < b
+    ]
+    if not blocks:
+        return vertex
+    blocks.sort()
+    merged: List[Tuple[float, float]] = []
+    for lo, hi in blocks:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+
+    # maximal sub-intervals of [a, b] whose interior avoids every block
+    pieces: List[Tuple[float, float]] = []
+    cursor = a
+    for lo, hi in merged:
+        if lo > cursor:
+            pieces.append((cursor, lo))
+        cursor = max(cursor, hi)
+    if cursor < b:
+        pieces.append((cursor, b))
+
+    if mode is AmMode.AM1:
+        pieces = [(s, t) for s, t in pieces if s == a and t == b]
+    elif mode is AmMode.AM2:
+        pieces = [(s, t) for s, t in pieces if s == a]
+
+    if not pieces:
+        return None
+
+    just_starts, just_ends = _justified_cut_points(instance, vertex.label_id, all_chosen)
+    adjusted: List[Tuple[float, float]] = []
+    for s, t in pieces:
+        if s > a:
+            ok = [p for p in just_starts if s <= p < t]
+            if not ok:
+                continue
+            s = min(ok)
+        if t < b:
+            ok = [p for p in just_ends if s < p <= t]
+            if not ok:
+                continue
+            t = max(ok)
+        if s < t:
+            adjusted.append((s, t))
+    if not adjusted:
+        return None
+    s, t = max(adjusted, key=lambda p: (p[1] - p[0], -p[0]))
+    weight = (t - s) * instance.labels[vertex.label_id].weight
+    return _IgVertex(vertex.label_id, TimeInterval(s, t), weight)
+
+
+def pls_select_reference(
+    state: _PlsState, pool: int, skip: set, phase: str, penalties: List[int], rng
+):
+    """PLS's pick with greedy ties read off a heaviest-first order of all
+    vertices (ties by ascending id) and its inverse, by bisection."""
+    n = len(state.weights)
+    order = sorted(range(n), key=state.weights.__getitem__, reverse=True)
+    rank = sorted(range(n), key=order.__getitem__)  # inverse of order
+    free = state.pools[pool] - skip
+    if not free:
+        return None
+    if phase == "penalty":
+        best = min(map(penalties.__getitem__, free))
+        ties = sorted(v for v in free if penalties[v] == best)
+    else:  # greedy: the heaviest candidates (weighted-IS adaptation)
+        weights = state.weights
+        i = min(map(rank.__getitem__, free))
+        j = bisect.bisect_right(order, -weights[order[i]], lo=i, key=lambda v: -weights[v])
+        ties = [v for v in order[i:j] if v in free]
+    return ties[rng.randrange(len(ties))]
+
+
 def intgraph_reference(instance: Instance, problem, mode: AmMode):
     """IntGraph's activity set with every remaining vertex passed through
-    ``_shorten`` in every round, whatever labels the round picked."""
+    ``shorten_reference`` in every round, whatever labels the round picked."""
     vertices = [
         _IgVertex(lid, presence, presence.length * instance.labels[lid].weight)
         for lid in sorted(instance.presences)
@@ -338,7 +468,7 @@ def intgraph_reference(instance: Instance, problem, mode: AmMode):
             for by_label in (chosen, round_chosen):
                 by_label.setdefault(vertices[i].label_id, []).append(vertices[i].interval)
         shortened = [
-            _shorten(instance, v, round_chosen, chosen, mode)
+            shorten_reference(instance, v, round_chosen, chosen, mode)
             for i, v in enumerate(vertices)
             if i not in picked
         ]
@@ -431,7 +561,8 @@ def extract_instance_reference(scenario: Scenario) -> Instance:
     pairs, overlaps = [], []
     for ai, i in enumerate(present):
         for j in present[ai + 1 :]:
-            reach = (pois[i].diag_px + pois[j].diag_px) / min_ppm
+            diag_i, diag_j = (math.hypot(p.w_px, p.h_px) for p in (pois[i], pois[j]))
+            reach = (diag_i + diag_j) / min_ppm
             if math.hypot(pois[i].x - pois[j].x, pois[i].y - pois[j].y) > reach:
                 continue
             signal = visible[i] & visible[j] & _intersects(row_boxes[i], row_boxes[j])

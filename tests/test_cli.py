@@ -274,6 +274,16 @@ class TestGraphDump:
         }
         assert out.read_text() == json.dumps(doc, indent=2) + "\n"
 
+    @pytest.mark.parametrize("command", ["graph-dump", "solve"])
+    def test_size_limit_exit_3(self, i1_file, tmp_path, monkeypatch, capsys, command):
+        from chronolabel import conflict_graph
+
+        monkeypatch.setattr(conflict_graph, "SIZE_LIMIT", 3)
+        out = tmp_path / "out.json"
+        assert main([command, i1_file, "--am", "3", "--out", str(out)]) == 3
+        assert "instance exceeds the candidate-graph size limit" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     @pytest.fixture
@@ -369,6 +379,14 @@ class TestBench:
             reports.append(rows)
         assert len(reports[0]) == 3 * 3 * 3
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("flag, value", [("--modes", ""), ("--algos", ",")])
+    def test_empty_list_is_usage_error(self, instance_dir, tmp_path, flag, value):
+        out_dir = tmp_path / "bench"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(instance_dir), "--out-dir", str(out_dir), flag, value])
+        assert exc.value.code == 2
+        assert not out_dir.exists()
 
     def test_empty_directory_exit_2(self, tmp_path):
         d = tmp_path / "empty"

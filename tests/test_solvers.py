@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 from chronolabel.cli import apply_min_activity
 from chronolabel.conflict_graph import ConflictGraph, build_graph
-from chronolabel.model import TimeInterval, load_instance, make_activity_set, objective
+from chronolabel.model import (
+    ConflictEntry,
+    Instance,
+    Label,
+    TimeInterval,
+    dump_solution,
+    load_instance,
+    make_activity_set,
+    objective,
+)
 from chronolabel.scenario import extract_instance, synthesize_scenario
 from chronolabel.solvers import (
     GMT,
@@ -15,9 +24,12 @@ from chronolabel.solvers import (
     Problem,
     Status,
     _GroupSolver,
+    _IgVertex,
     _PlsState,
     _greedy_selection,
     _label_groups,
+    _pls_select,
+    _shorten,
     _slice_bound,
     _witness_requirements,
     krmt,
@@ -38,6 +50,8 @@ from oracle import (
     intgraph_reference,
     milp_gmt,
     pls_rescan,
+    pls_select_reference,
+    shorten_reference,
     slice_bound_reference,
 )
 
@@ -408,6 +422,16 @@ def test_heuristics_never_derive_neighbor_sets(monkeypatch):
         assert check_model(instance, result.phi, AmMode.AM3).valid
 
 
+class Reweighted:
+    """A conflict graph's adjacency under other candidate weights."""
+
+    def __init__(self, graph, weights):
+        self.neighbor_ids, self.weights = graph.neighbor_ids, weights
+
+    def __len__(self):
+        return len(self.weights)
+
+
 class TestPls:
     def test_i1_gmt_am1(self, i1):
         result = solve_pls(i1, GMT, AmMode.AM1, seed=42)
@@ -468,6 +492,60 @@ class TestPls:
             for mode in AmMode:
                 result = solve_pls(instance, GMT, mode, seed=seed)
                 assert check_model(instance, result.phi, mode).valid, (seed, mode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance_graph=instance_graphs(), data=st.data())
+    def test_select_matches_order_reference(self, instance_graph, data):
+        _, graph = instance_graph
+        n = len(graph)
+        vertex = st.integers(0, max(n - 1, 0))
+        # coarse weights make ties among the heaviest common
+        coarse = st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n)
+        state = _PlsState(Reweighted(graph, data.draw(st.one_of(st.just(graph.weights), coarse))))
+        for v in data.draw(st.lists(vertex, max_size=40)) if n else ():
+            if v not in state.selected:
+                state.force(v)
+        skip = set(data.draw(st.lists(vertex, max_size=10))) if n else set()
+        penalties = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        pool = data.draw(st.sampled_from([0, 1]))
+        phase = data.draw(st.sampled_from(["greedy", "penalty"]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        got = _pls_select(state, pool, skip, phase, penalties, rng)
+        assert got == pls_select_reference(state, pool, skip, phase, penalties, reference_rng)
+        assert rng.getstate() == reference_rng.getstate()
+
+
+@st.composite
+def shortening_cases(draw):
+    """(instance, vertex, this round's picks, all picks) for one vertex of
+    label "v" against labels "a", "b" and "c" on a half-second grid.  The
+    conflicts of a pair are disjoint and may have zero length; the picks are
+    positive-length intervals, and this round's are some of all of them."""
+    half = st.integers(0, 20).map(lambda step: step / 2)
+    others = ("a", "b", "c")
+    conflicts = []
+    for other in others:
+        points = draw(st.lists(half, max_size=6, unique=True).map(sorted))
+        for start, end in zip(points[::2], points[1::2]):
+            end = start if draw(st.booleans()) and draw(st.booleans()) else end
+            conflicts.append(ConflictEntry("v", other, TimeInterval(start, end)))
+    weights = {lid: draw(st.integers(1, 3)) for lid in ("v", *others)}
+    instance = Instance(
+        horizon=10.0,
+        labels={lid: Label(lid, float(w)) for lid, w in weights.items()},
+        presences={lid: (TimeInterval(0.0, 10.0),) for lid in weights},
+        conflicts=tuple(conflicts),
+    )
+    positive = st.tuples(half, half).filter(lambda p: p[0] < p[1]).map(lambda p: TimeInterval(*p))
+    round_chosen, all_chosen = {}, {}
+    for other in others:
+        for iv in draw(st.lists(positive, max_size=3)):
+            all_chosen.setdefault(other, []).append(iv)
+            if draw(st.booleans()):
+                round_chosen.setdefault(other, []).append(iv)
+    iv = draw(positive)
+    return instance, _IgVertex("v", iv, iv.length * weights["v"]), round_chosen, all_chosen
 
 
 class TestIntGraph:
@@ -545,15 +623,37 @@ class TestIntGraph:
                         problem,
                     )
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6), dense=st.booleans())
+    def test_random_outputs_match_piecewise_reference(self, seed, dense):
+        size = dict(max_labels=8, max_presences_per_label=3, max_conflicts=40) if dense else {}
+        instance = random_instance(seed, **size)
+        for mode in AmMode:
+            for problem in (GMT, krmt(1), krmt(2)):
+                got = solve_intgraph(instance, problem, mode).phi
+                want = intgraph_reference(instance, problem, mode)
+                assert dump_solution(got) == dump_solution(want), (mode, problem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=shortening_cases())
+    def test_shorten_matches_piecewise_reference(self, case):
+        instance, vertex, round_chosen, all_chosen = case
+        for mode in AmMode:
+            got = _shorten(instance, vertex, round_chosen, all_chosen, mode)
+            assert got == shorten_reference(instance, vertex, round_chosen, all_chosen, mode)
 
     def test_matches_all_vertex_reference(self):
+        # scenarios 0-59, raw and after the 1 s minimum activity, make 1080 solves
         instances = [random_instance(seed) for seed in range(50)]
-        instances += [instance for _, instance in navigation_corpus(2)]
+        for seed in range(60):
+            raw = extract_instance(synthesize_scenario(seed))
+            instances += [raw, apply_min_activity(raw, 1.0)]
         for instance in instances:
             for mode in AmMode:
                 for problem in (GMT, krmt(1), krmt(2)):
-                    result = solve_intgraph(instance, problem, mode)
-                    assert result.phi == intgraph_reference(instance, problem, mode)
+                    got = solve_intgraph(instance, problem, mode).phi
+                    want = intgraph_reference(instance, problem, mode)
+                    assert dump_solution(got) == dump_solution(want), (mode, problem)
 
 
 class TestMwisIntervals:
