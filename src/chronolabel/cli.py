@@ -148,7 +148,10 @@ def _request(args: argparse.Namespace, problem: Problem, seed: int) -> SolveRequ
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text("utf-8")
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +294,26 @@ def bench_rows(
     """Run the benchmark matrix and attach exact references and quality ratios.
 
     Each instance file is parsed once; run ``i`` of the matrix (files sorted,
-    then modes, then algorithms) is solved with the seed ``seed + i``.
+    then modes, then algorithms) is solved with the seed ``seed + i``.  The
+    solvers share the instance's graphs, which are built before any solve
+    is timed, so ``runtime_s`` excludes the build whatever the algorithm
+    order.
     """
     rows: List[dict] = []
+    graph_modes = set()  # of the graphs the solves read
+    for algo in algos:
+        if algo == "exact" or (algo in ("greedy", "pls") and problem.kind == "GMT"):
+            graph_modes.update(map(AmMode, modes))
+        elif algo == "greedy":  # KRMT greedy runs on the AM1 graph
+            graph_modes.add(AmMode.AM1)
     for path in sorted(str(p) for p in paths):
         instance = load_instance(_read(path))
         size = complexity(instance)
+        for mode in sorted(graph_modes, key=lambda m: m.value):
+            try:
+                build_graph(instance, mode)
+            except SizeLimitExceeded:
+                pass  # each solve reports SIZE_ABORT
         for mode in map(AmMode, modes):
             for algo in algos:
                 request = SolveRequest(
@@ -627,7 +644,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

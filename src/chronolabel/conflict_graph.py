@@ -43,6 +43,11 @@ class ConflictGraph:
     adjacent implicitly.  Cross edges are one boolean block per conflicting
     label pair, reachable from both labels: row i of a label's block holds
     the edges of its i-th candidate to the other label's candidates.
+
+    ``build_graph`` keeps one graph per instance and model and hands it to
+    every solver, so the neighbour lists and intervals it derives on request
+    are shared too: no caller may change a column or what ``interval``,
+    ``neighbor_ids`` or ``neighbors`` return.
     """
 
     def __init__(
@@ -131,6 +136,11 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     return keys[_firsts(keys)]
 
 
+def _candidates(count: int) -> None:
+    if count > SIZE_LIMIT:
+        raise SizeLimitExceeded(f"more than {SIZE_LIMIT} candidates")
+
+
 def _edges(count: int) -> int:
     if count > SIZE_LIMIT:
         raise SizeLimitExceeded(f"more than {SIZE_LIMIT} edges")
@@ -176,6 +186,26 @@ def _columns(instance: Instance) -> tuple:
 
 
 def build_graph(instance: Instance, mode: AmMode) -> ConflictGraph:
+    """The candidate conflict graph of the instance under the activity model.
+
+    The graph is built on the first request (see :func:`_build`) and kept on
+    the instance, which is immutable, so every later request for the same
+    model, by any solver, returns that same graph (threads asking at once
+    may each build it; the graphs are equal).  A failed build keeps
+    nothing.  ``SIZE_LIMIT`` holds for a kept graph too: one with more
+    candidates or edges than the limit raises SizeLimitExceeded as its
+    build would have.
+    """
+    graphs = instance.__dict__.setdefault("_graphs", {})
+    if mode not in graphs:
+        graphs[mode] = _build(instance, mode)
+    graph = graphs[mode]
+    _candidates(len(graph))
+    _edges(graph.edge_count)
+    return graph
+
+
+def _build(instance: Instance, mode: AmMode) -> ConflictGraph:
     """Construct the candidate conflict graph for the given activity model.
 
     Both halves are numpy passes over the whole instance.  The (presence,
@@ -201,8 +231,7 @@ def build_graph(instance: Instance, mode: AmMode) -> ConflictGraph:
         opens = _unique(np.concatenate([opens, c_open]))
     later = closes.searchsorted(opens, "right")
     count = closes.searchsorted(opens - opens % n_times + n_times) - later
-    if count.sum() > SIZE_LIMIT:
-        raise SizeLimitExceeded(f"more than {SIZE_LIMIT} candidates")
+    _candidates(int(count.sum()))
     presence, start_rank = np.divmod(opens.repeat(count), n_times)
     starts, ends = times[start_rank], times[closes[_runs(later, count)] % n_times]
     label = p_label[presence]

@@ -193,6 +193,10 @@ class _Deadline:
         self.hit = seconds <= 0
         self._ticks = 0
 
+    def poll(self) -> None:
+        """Read the clock now, not on the 256th check."""
+        self.hit = self.hit or time.perf_counter() >= self.at
+
     def check(self) -> bool:
         if self.hit:
             return True
@@ -748,11 +752,12 @@ def solve_exact(
     """Optimal activity set: branch-and-bound (GMT) or a time sweep (KRMT),
     over the model chain described in the module docstring."""
     started = time.perf_counter()
+    deadline = _Deadline(time_limit)  # the graph build counts against it
     try:
         graph = build_graph(instance, mode)
     except SizeLimitExceeded:
         return _result(instance, _empty_phi(), Status.SIZE_ABORT, started)
-    deadline = _Deadline(time_limit)
+    deadline.poll()
     presences = [_presence(instance, graph, v) for v in range(len(graph))]
     stages: List[set] = []
     for subset in (
@@ -968,7 +973,8 @@ def solve_pls(
 
     rng = random.Random(seed)
     # the wall-clock budget covers the local search, with the neighbour ids
-    # it derives from the graph's blocks, but not the graph build
+    # it derives from the graph's blocks (kept with the shared graph for
+    # later solves), but not the graph build
     stop_at = time.perf_counter() + params.wall_clock_budget
     state = _PlsState(graph)
     penalties = [0] * n

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -388,7 +389,61 @@ class TestBench:
         assert exc.value.code == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("problem", [["--problem", "gmt"], ["--problem", "krmt", "--k", "1"]])
+    def test_runtime_excludes_graph_build(self, instance_dir, tmp_path, monkeypatch, problem):
+        import time
+
+        from chronolabel import conflict_graph
+
+        build, sleep = conflict_graph._build, 0.3
+
+        def slow_build(instance, mode):
+            time.sleep(sleep)
+            return build(instance, mode)
+
+        monkeypatch.setattr(conflict_graph, "_build", slow_build)
+        out_dir = tmp_path / "bench"
+        rc = main(["bench", str(instance_dir), "--out-dir", str(out_dir), *problem,
+                   "--algos", "greedy,pls,exact,intgraph", "--time-limit", "30"])
+        assert rc == 0
+        with (out_dir / "report.csv").open() as handle:
+            runtimes = [float(row["runtime_s"]) for row in csv.DictReader(handle)]
+        assert len(runtimes) == 3 * 3 * 4
+        assert max(runtimes) < sleep
+
     def test_empty_directory_exit_2(self, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
         assert main(["bench", str(d), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+class TestUnreadableInput:
+    @pytest.fixture
+    def not_utf8(self, tmp_path) -> str:
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + dump_instance(build_i1()).encode("utf-16-le"))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["solve", "validate", "graph-dump"])
+    def test_directory_exit_2(self, i1_file, tmp_path, capsys, command):
+        argv = [command, str(tmp_path)] + ([i1_file] if command == "validate" else [])
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "validate", "graph-dump"])
+    def test_not_utf8_exit_2(self, i1_file, not_utf8, capsys, command):
+        argv = [command, not_utf8] + ([i1_file] if command == "validate" else [])
+        assert main(argv) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_solution_not_utf8_exit_2(self, i1_file, not_utf8):
+        assert main(["validate", i1_file, not_utf8]) == 2
+
+    def test_bench_directory_entry_exit_2(self, tmp_path):
+        instances = tmp_path / "instances"
+        (instances / "x.json").mkdir(parents=True)
+        assert main(["bench", str(instances), "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_bench_not_utf8_exit_2(self, not_utf8, tmp_path):
+        instances = Path(not_utf8).parent
+        assert main(["bench", str(instances), "--out-dir", str(tmp_path / "o")]) == 2

@@ -112,6 +112,16 @@ class TestBuildGraph:
         with pytest.raises(SizeLimitExceeded):
             build_graph(i1, AmMode.AM3)
 
+    def test_size_guard_on_kept_graph(self, monkeypatch):
+        instance = pairwise_conflicts()
+        graph = build_graph(instance, AmMode.AM1)
+        for limit, what in ((3, "candidates"), (5, "edges")):
+            monkeypatch.setattr(conflict_graph, "SIZE_LIMIT", limit)
+            with pytest.raises(SizeLimitExceeded, match=f"more than {limit} {what}"):
+                build_graph(instance, AmMode.AM1)
+        monkeypatch.setattr(conflict_graph, "SIZE_LIMIT", 6)
+        assert build_graph(instance, AmMode.AM1) is graph
+
     def test_edge_guard(self, monkeypatch):
         # four labels in pairwise conflict: 4 candidates and 6 cross edges at AM1
         lids = ("a", "b", "c", "d")
@@ -139,6 +149,19 @@ class TestBuildGraph:
                     selection.append(v)
             phi = graph.to_activity_set(selection)
             assert check_valid(instance, phi).valid
+
+
+def pairwise_conflicts() -> Instance:
+    """Four labels in pairwise conflict: 4 candidates and 6 cross edges at AM1."""
+    lids = ("a", "b", "c", "d")
+    return Instance(
+        horizon=10.0,
+        labels={lid: Label(lid, 1.0, lid) for lid in lids},
+        presences={lid: (TimeInterval(0.0, 10.0),) for lid in lids},
+        conflicts=tuple(
+            ConflictEntry(a, b, TimeInterval(4.0, 6.0)) for a in lids for b in lids if a < b
+        ),
+    )
 
 
 @pytest.fixture(scope="module")

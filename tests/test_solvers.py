@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -726,3 +728,114 @@ def test_problem_validation():
         Problem("GMT", k=3)
     with pytest.raises(ValueError):
         Problem("XXX")
+
+
+class TickClock:
+    """A ``time`` stand-in for the solvers whose ``perf_counter`` moves by a
+    fixed step per call, so that PLS and timed-out searches are repeatable."""
+
+    def __init__(self):
+        self.now, self.step = 0.0, 1e-3
+
+    def perf_counter(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+SHARED_SOLVES = [
+    (problem, mode, algo)
+    for problem in (GMT, krmt(1), krmt(2))
+    for mode in AmMode
+    for algo in ("greedy", "intgraph", "exact", "pls")
+    if algo != "pls" or problem is GMT
+]
+# the solves of one nav-heuristic instance
+NAV_HEURISTIC_SOLVES = [(GMT, mode, algo) for mode in AmMode for algo in ("greedy", "intgraph", "pls")]
+NAV_HEURISTIC_SOLVES += [(krmt(2), AmMode.AM1, "greedy"), (krmt(2), AmMode.AM1, "intgraph")]
+
+
+def run_solve(instance, problem, mode, algo, clock=None) -> str:
+    if algo == "exact":
+        if clock is not None:
+            clock.step = 1e-2  # 110 deadline reads of 256 checks each
+        result = solve_exact(instance, problem, mode, time_limit=NAV_TIME_LIMIT)
+    elif algo == "pls":
+        if clock is not None:
+            clock.step = 1e-4  # 1000 budget reads
+        result = solve_pls(instance, problem, mode, seed=7)
+    else:
+        result = {"greedy": solve_greedy, "intgraph": solve_intgraph}[algo](instance, problem, mode)
+    return dump_solution(result.phi)
+
+
+def graph_snapshot(graph) -> tuple:
+    columns = (graph.starts, graph.ends, graph.weights, graph.label_ids, graph.presence_indices)
+    n = range(len(graph))
+    return (
+        tuple(map(tuple, columns)),
+        {key: tuple(ids) for key, ids in graph.clusters.items()},
+        graph.edge_count,
+        [frozenset(graph.neighbors(v)) for v in n],
+        [tuple(graph.neighbor_ids(v)) for v in n],
+        [graph.interval(v) for v in n],
+    )
+
+
+class TestSharedGraph:
+    def test_outputs_match_fresh_instance(self, monkeypatch):
+        clock = TickClock()
+        monkeypatch.setattr("chronolabel.solvers.time", clock)
+        instances = [instance for _, instance in navigation_corpus(2)]
+        instances += [random_instance(seed) for seed in range(8)]
+        for instance in instances:
+            graphs = {mode: build_graph(instance, mode) for mode in AmMode}
+            before = {mode: graph_snapshot(graph) for mode, graph in graphs.items()}
+            for spec in SHARED_SOLVES:  # every solver runs on the kept graphs
+                run_solve(instance, *spec, clock)
+            for spec in SHARED_SOLVES:
+                fresh = replace(instance)  # the same fields, nothing kept
+                assert run_solve(instance, *spec, clock) == run_solve(fresh, *spec, clock), spec
+            for mode, graph in graphs.items():
+                assert build_graph(instance, mode) is graph
+                assert graph_snapshot(graph) == before[mode]
+
+    def test_one_build_per_model(self, monkeypatch):
+        from chronolabel import conflict_graph
+
+        builds = []
+        build = conflict_graph._build
+
+        def counting_build(instance, mode):
+            builds.append(mode)
+            return build(instance, mode)
+
+        monkeypatch.setattr(conflict_graph, "_build", counting_build)
+        instance = navigation_corpus(1)[0][1]
+        for spec in NAV_HEURISTIC_SOLVES:
+            run_solve(instance, *spec)
+        assert builds == list(AmMode)
+
+    def test_time_limit_counts_the_build(self, monkeypatch):
+        from chronolabel import conflict_graph
+
+        build, sleep = conflict_graph._build, 0.3
+
+        def slow_build(instance, mode):
+            time.sleep(sleep)
+            return build(instance, mode)
+
+        def no_fixpoint(*args):
+            raise AssertionError("witness fixpoint after the deadline")
+
+        monkeypatch.setattr(conflict_graph, "_build", slow_build)
+        monkeypatch.setattr("chronolabel.solvers._witness_requirements", no_fixpoint)
+        instance = navigation_corpus(1)[0][1]
+        started = time.perf_counter()
+        result = solve_exact(instance, GMT, AmMode.AM3, time_limit=sleep / 2)
+        assert time.perf_counter() - started < sleep + 0.1
+        assert result.status is Status.FEASIBLE
+        assert check_model(instance, result.phi, AmMode.AM3).valid
+        fresh = replace(instance)
+        with pytest.raises(ValueError):  # before the build
+            solve_exact(fresh, GMT, AmMode.AM3, time_limit=float("nan"))
+        assert "_graphs" not in fresh.__dict__
