@@ -191,18 +191,12 @@ class _Deadline:
             raise ValueError("time limit is NaN")
         self.at = time.perf_counter() + seconds
         self.hit = seconds <= 0
-        self._ticks = 0
-
-    def poll(self) -> None:
-        """Read the clock now, not on the 256th check."""
-        self.hit = self.hit or time.perf_counter() >= self.at
 
     def check(self) -> bool:
-        if self.hit:
-            return True
-        self._ticks += 1
-        if self._ticks % 256 == 0 and time.perf_counter() >= self.at:
-            self.hit = True
+        """Whether the limit has passed; reads the clock on every call, so a
+        search stops within one node of the limit."""
+        if not self.hit:
+            self.hit = time.perf_counter() >= self.at
         return self.hit
 
 
@@ -273,7 +267,8 @@ def _k_sweep(
     adjacent to an open one, at most k open once those ending at t close,
     cluster unused), drops the states where an inner endpoint at t has no
     witness open (every witness covers t), then closes those ending at t.
-    Returns None when the deadline strikes first.
+    The deadline is read before each opening candidate and before each
+    close step; returns None when it strikes first.
     """
     # time -> (starting, ending, (candidate, witnesses) checks, expiring clusters)
     events: Dict[float, tuple] = defaultdict(lambda: ([], [], [], []))
@@ -312,20 +307,22 @@ def _k_sweep(
     for t in sorted(events):
         starting, ending, checks, expiring = events[t]
         for v in starting:
+            if deadline.check():
+                return None
             adj, mine, w = graph.neighbors(v), cluster[v], graph.weights[v]
             grown = []
             for n, level in levels.items():
                 if n - len(ending) >= k:
                     continue  # full even once the candidates ending at t close
                 for (open_, used), (weight, chain) in level.items():
-                    if deadline.check():
-                        return None
                     if mine in used or not adj.isdisjoint(open_):
                         continue
                     if not ending or len(open_.difference(ending)) < k:
                         grown.append(((open_ | {v}, used), (weight + w, (v, chain))))
             for key, value in grown:  # all new: v is in no open set yet
                 enter(key, value)
+        if deadline.check():
+            return None
         members = (*ending, *(v for v, _ in checks), *(~c for c in expiring))
         moved = []
         for key in sorted(
@@ -337,8 +334,6 @@ def _k_sweep(
             for member in (*key[0], *(~c for c in key[1])):
                 holders[member].discard(key)
         for (open_, used), value in moved:
-            if deadline.check():
-                return None
             if any(v in open_ and wit.isdisjoint(open_) for v, wit in checks):
                 continue
             used = used.difference(expiring).union(
@@ -422,6 +417,10 @@ class _GroupSolver:
     selected candidates, at least one member of which still has to be picked.
     A must's witnesses link the clusters containing them into one component,
     so the decomposition never separates a requirement from its witnesses.
+
+    Components are memoized by their remaining candidates, their musts and
+    the requirements of their candidates that the chosen set above already
+    satisfies (:meth:`_memo_key`); each node reads the deadline once.
     """
 
     def __init__(
@@ -447,20 +446,25 @@ class _GroupSolver:
             {self.cluster_of.get(u) for u in graph.neighbors(f)} - {i, None}
             for i, f in enumerate(full)
         ]
+        self.adj_up = [tuple(cj for cj in adj if cj > ci) for ci, adj in enumerate(self.cluster_adj)]
         self.clusters = clusters
         self.rank = {v: i for m in clusters for i, v in enumerate(m)}
         self.pair_best: Dict[Tuple[int, int], float] = {}  # see _pair_best
         # clusters kept in one component: linked ones, and a candidate's with
-        # those of its potential witnesses.  Who can witness whom also trims
-        # memo keys to the part of the chosen set that can still influence a
-        # subproblem.
+        # those of its potential witnesses.  Requirements are numbered in
+        # order (``owner`` maps the number to its candidate); ``meets`` maps a
+        # witness to the numbers of the requirements it satisfies, which memo
+        # keys are made of.
         self.links: List[set] = [set(a) for a in self.cluster_adj]
-        self.witnessed_by: Dict[int, set] = {}
+        self.owner: List[int] = []
+        self.meets: Dict[int, List[int]] = {}
         for v, reqs in requirements.items():
             ci = self.cluster_of.get(v)
             for _, wit in reqs:
+                rid = len(self.owner)
+                self.owner.append(v)
                 for u in wit:
-                    self.witnessed_by.setdefault(u, set()).add(v)
+                    self.meets.setdefault(u, []).append(rid)
                     cj = self.cluster_of.get(u)
                     if None not in (ci, cj) and ci != cj:
                         self.links[ci].add(cj)
@@ -498,12 +502,12 @@ class _GroupSolver:
         pairs are matched greedily, heaviest loss first; a pair's loss is
         charged to its first cluster.  Linked clusters share a component, so
         the shares of a component's clusters bound that component."""
-        weights, pair_best, cluster_adj = self.weights, self.pair_best, self.cluster_adj
+        weights, pair_best, adj_up = self.weights, self.pair_best, self.adj_up
         shares = {ci: weights[m[0]] for ci, m in avail.items()}
         losses = []
         for ci, head in shares.items():
-            for cj in cluster_adj[ci]:
-                if cj > ci and cj in shares:
+            for cj in adj_up[ci]:
+                if cj in shares:
                     heads = (avail[ci][0], avail[cj][0])
                     best = pair_best.get(heads)
                     if best is None:
@@ -518,10 +522,13 @@ class _GroupSolver:
                 shares[ci] -= loss
         return shares
 
-    def _bound(self, avail) -> float:
-        return sum(self._shares(avail).values())
-
-    def solve(self, avail: Dict[int, List[int]], musts: List[frozenset], alpha: float):
+    def solve(
+        self,
+        avail: Dict[int, List[int]],
+        musts: List[frozenset],
+        alpha: float,
+        shares: Optional[Dict[int, float]] = None,
+    ):
         """Best (selection, weight) with weight > ``alpha``, else None.
 
         None therefore means "no selection satisfying all musts beats alpha"
@@ -529,26 +536,19 @@ class _GroupSolver:
         subproblem optimum.  ``avail`` maps cluster index to its still
         selectable candidates (sorted by descending weight); ``musts`` are
         witness sets of already selected candidates, restricted to available
-        candidates.
+        candidates; ``shares`` are ``_shares(avail)`` when the caller has them.
         """
         if self.deadline.check():
             raise _GroupTimeout
         if not avail:
             return (set(), 0.0) if not musts and 0.0 > alpha else None
-        shares = self._shares(avail)
+        if shares is None:
+            shares = self._shares(avail)
         if sum(shares.values()) <= alpha:
             return None
-        witnessed_by = self.witnessed_by
-        witnessing = [u for u in self.chosen if u in witnessed_by]
         parts = []  # (avail, musts, memo key, memo entry, upper bound)
         for part_avail, part_musts in self._components(avail, musts):
-            chosen_key = frozenset()
-            if witnessing:
-                part_cands = {v for m in part_avail.values() for v in m}
-                chosen_key = frozenset(
-                    u for u in witnessing if not witnessed_by[u].isdisjoint(part_cands)
-                )
-            key = (frozenset(part_avail.items()), frozenset(part_musts), chosen_key)
+            key = self._memo_key(part_avail, part_musts)
             entry = self.memo.get(key)
             bound = sum([shares[ci] for ci in part_avail])
             if entry is not None:
@@ -585,37 +585,56 @@ class _GroupSolver:
             weight += res[1]
         return selection, weight
 
+    def _memo_key(self, avail, musts) -> tuple:
+        """What the optimum of the part ``avail`` with ``musts`` depends on.
+
+        The chosen set above the part reaches its search only through the
+        requirements of the part's candidates that it already satisfies
+        (``_branch`` skips those), so the key holds their ids rather than
+        the chosen candidates: chosen sets that satisfy the same
+        requirements share one entry."""
+        cluster_of, owner = self.cluster_of, self.owner
+        met = frozenset(
+            rid
+            for u in self.chosen
+            for rid in self.meets.get(u, ())
+            if owner[rid] in avail.get(cluster_of[owner[rid]], ())
+        )
+        return frozenset(avail.items()), frozenset(musts), met
+
     def _components(self, avail, musts):
-        parent = {ci: ci for ci in avail}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        cluster_of = self.cluster_of
-        for ci in avail:
-            for cj in self.links[ci]:
-                if cj > ci and cj in avail:
-                    union(ci, cj)
-        # an open must stays with the candidates that can still satisfy it
-        for wit in musts:
-            it = iter(wit)
-            first = cluster_of[next(it)]
-            for u in it:
-                union(first, cluster_of[u])
-        by_root: Dict[int, list] = {}
-        for ci in avail:
-            by_root.setdefault(find(ci), [{}, []])[0][ci] = avail[ci]
-        for wit in musts:
-            by_root[find(cluster_of[next(iter(wit))])][1].append(wit)
-        return [by_root[r] for r in sorted(by_root)]
+        """The parts of ``avail`` connected by cluster links, each with the
+        musts it holds, as ``[avail, musts]`` pairs; an open must stays with
+        the clusters that can still satisfy it."""
+        links, cluster_of = self.links, self.cluster_of
+        must_clusters = [{cluster_of[u] for u in wit} for wit in musts]
+        musts_of: Dict[int, List[int]] = {}
+        for i, clusters in enumerate(must_clusters):
+            for ci in clusters:
+                musts_of.setdefault(ci, []).append(i)
+        seen, taken = set(), set()
+        parts = []
+        for root in avail:
+            if root in seen:
+                continue
+            seen.add(root)
+            part_avail, part_musts = {}, []
+            stack = [root]
+            while stack:
+                ci = stack.pop()
+                part_avail[ci] = avail[ci]
+                reach = [cj for cj in links[ci] if cj in avail]
+                for i in musts_of.get(ci, ()):
+                    if i not in taken:
+                        taken.add(i)
+                        part_musts.append(musts[i])
+                        reach += must_clusters[i]
+                for cj in reach:
+                    if cj not in seen:
+                        seen.add(cj)
+                        stack.append(cj)
+            parts.append([part_avail, part_musts])
+        return parts
 
     def _branch(self, avail, musts, alpha: float):
         graph = self.graph
@@ -626,7 +645,8 @@ class _GroupSolver:
         keys = avail.keys()
         bi = max(keys, key=lambda ci: (len(self.cluster_adj[ci] & keys), -ci))
         rest = {ci: m for ci, m in avail.items() if ci != bi}
-        bound_rest = self._bound(rest)
+        shares_rest = self._shares(rest)
+        bound_rest = sum(shares_rest.values())
         sum_rest = sum([weights[m[0]] for m in rest.values()])
         best = None  # (selection, weight)
         best_w = alpha  # floor: only strictly better solutions count
@@ -695,7 +715,7 @@ class _GroupSolver:
                     break
                 new_musts.append(cut)
             if ok:
-                res = self.solve(rest, new_musts, best_w)
+                res = self.solve(rest, new_musts, best_w, shares_rest)
                 if res is not None:
                     best = res
         return best
@@ -716,9 +736,9 @@ def _solve_group(
     Candidates that can never be justified are removed up front (see
     :func:`_witness_requirements`); the rest is handed to the decomposing
     branch-and-bound.  On timeout the warm start is returned with the
-    pair-matching upper bound (:meth:`_GroupSolver._shares`); a part reached
-    after the deadline skips the witness fixpoint and is bounded over all
-    its candidates.
+    pair-matching upper bound of the root (:meth:`_GroupSolver._shares`),
+    computed before the search; a part reached after the deadline skips the
+    witness fixpoint and is bounded over all its candidates.
     """
     greedy = repair_selection(instance, graph, _greedy_selection(graph, None, within=part))
     warm = max(greedy, set(seed), key=graph.selection_weight)
@@ -734,10 +754,11 @@ def _solve_group(
         sys.setrecursionlimit(depth_needed)
     solver = _GroupSolver(graph, requirements, kept, deadline)
     avail = dict(enumerate(kept))
+    shares = solver._shares(avail)  # the root bound, reported on a timeout
     try:
-        res = solver.solve(avail, [], warm_weight)
+        res = solver.solve(avail, [], warm_weight, shares)
     except _GroupTimeout:
-        return warm, False, solver._bound(avail)
+        return warm, False, sum(shares.values())
     if res is None:  # nothing beats the warm start, so it is optimal
         return warm, True, warm_weight
     return set(res[0]), True, res[1]
@@ -757,7 +778,7 @@ def solve_exact(
         graph = build_graph(instance, mode)
     except SizeLimitExceeded:
         return _result(instance, _empty_phi(), Status.SIZE_ABORT, started)
-    deadline.poll()
+    deadline.check()
     presences = [_presence(instance, graph, v) for v in range(len(graph))]
     stages: List[set] = []
     for subset in (
@@ -775,6 +796,14 @@ def solve_exact(
         groups = _label_groups(instance, graph)
         sizes = [0] * len(groups)  # of the part each group was last solved on
         found = [(set(), False, 0.0)] * len(groups)  # (selection, proven, bound)
+        for g, group in enumerate(groups):
+            if not deadline.hit and not instance.conflicts_of(graph.label_ids[min(group)]):
+                # a label without conflicts has no witness for an inner
+                # endpoint, so its optimum is its full-presence candidates,
+                # its only ones (past the deadline, groups get their warm
+                # start unproven)
+                best = group & stages[0]
+                found[g], sizes[g] = (best, True, graph.selection_weight(best)), len(group)
         for subset in stages:
             for g, group in enumerate(groups):
                 if deadline.hit and subset is not stages[-1]:

@@ -136,3 +136,20 @@ def instance_graphs(modes=tuple(AmMode)):
         st.builds(random_graph, st.integers(0, 10**6), modes),
         st.builds(_corpus_graph, st.integers(0, 1), modes),
     )
+
+
+def count_group_nodes(monkeypatch) -> dict:
+    """Count the search nodes (``_GroupSolver.solve`` calls) of every group
+    solver made from now on; the returned dict maps each solver to its
+    count, in the order the solvers were first used."""
+    from chronolabel.solvers import _GroupSolver
+
+    nodes: dict = {}
+    solve = _GroupSolver.solve
+
+    def counting(self, *args):
+        nodes[self] = nodes.get(self, 0) + 1
+        return solve(self, *args)
+
+    monkeypatch.setattr(_GroupSolver, "solve", counting)
+    return nodes

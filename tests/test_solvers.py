@@ -1,10 +1,11 @@
 import json
+import math
 import random
 import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chronolabel.cli import apply_min_activity
@@ -25,14 +26,18 @@ from chronolabel.solvers import (
     PlsParams,
     Problem,
     Status,
+    _Deadline,
     _GroupSolver,
+    _GroupTimeout,
     _IgVertex,
     _PlsState,
     _greedy_selection,
+    _k_sweep,
     _label_groups,
     _pls_select,
     _shorten,
     _slice_bound,
+    _solve_group,
     _witness_requirements,
     krmt,
     mwis_intervals,
@@ -43,7 +48,7 @@ from chronolabel.solvers import (
 )
 from chronolabel.validation import AmMode, check_model
 
-from conftest import instance_graphs, navigation_corpus, random_instance
+from conftest import count_group_nodes, instance_graphs, navigation_corpus, random_instance
 from oracle import (
     brute_force_mwis,
     enumerate_optima,
@@ -271,7 +276,7 @@ class TestExact:
         for _, instance in navigation_corpus(3):
             bound = maxima = 0.0
             for graph, kept, solver in self._group_solvers(instance, mode):
-                bound += solver._bound(dict(enumerate(kept)))
+                bound += sum(solver._shares(dict(enumerate(kept))).values())
                 maxima += sum(graph.weights[m[0]] for m in kept)
             result = solve_exact(instance, GMT, mode, time_limit=60.0)
             assert result.status is Status.OPTIMAL
@@ -353,6 +358,111 @@ class TestExact:
             result = solve_exact(instance, problem, mode, time_limit=limit)
             if result.status is Status.FEASIBLE:
                 assert result.objective <= result.upper_bound
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), mode=st.sampled_from([AmMode.AM2, AmMode.AM3]))
+    def test_gmt_matches_enumeration_on_random_instances(self, seed, mode):
+        instance = random_instance(seed, max_labels=4, max_conflicts=8)
+        assume(enumeration_search_space(instance, mode) <= 5000)
+        want = enumerate_optima(instance, mode, ks=[None])[None]
+        got = solve_exact(instance, GMT, mode, time_limit=60.0)
+        assert got.status is Status.OPTIMAL
+        assert got.objective == want
+
+    # The largest group's search: scenario 21 at AM2 (44 clusters) and corpus
+    # seed 0 at AM3 (54 clusters).  A memo keyed by the chosen witnesses
+    # themselves needed 3673 and 762 nodes.
+    @pytest.mark.parametrize(
+        "seed, mode, clusters, ceiling", [(21, AmMode.AM2, 44, 2400), (0, AmMode.AM3, 54, 480)]
+    )
+    def test_node_counts(self, monkeypatch, seed, mode, clusters, ceiling):
+        instance = nav_scenario(seed)
+        nodes = count_group_nodes(monkeypatch)
+        runs = []
+        for _ in range(2):
+            nodes.clear()
+            result = solve_exact(instance, GMT, mode, time_limit=60.0)
+            assert result.status is Status.OPTIMAL
+            runs.append([(len(solver.clusters), n) for solver, n in nodes.items()])
+        assert runs[0] == runs[1]  # the same search on every run
+        size, most = max(runs[0], key=lambda run: run[1])
+        assert size == clusters
+        assert most <= ceiling
+
+    def test_memo_key_is_the_met_requirements(self):
+        instance = nav_scenario(0)
+        _, kept, solver = max(
+            self._group_solvers(instance, AmMode.AM3), key=lambda item: len(item[2].requirements)
+        )
+        requirements = solver.requirements
+        ties = splits = 0
+        for v, reqs in list(requirements.items())[:40]:
+            for _, wit in reqs:
+                pool = sorted(wit)[:4]
+                # the part: every cluster without a pool candidate
+                busy = {solver.cluster_of[u] for u in pool}
+                avail = {ci: m for ci, m in enumerate(kept) if ci not in busy}
+                part = {u for m in avail.values() for u in m}
+                by_met, by_key = {}, {}
+                for mask in range(1 << len(pool)):
+                    chosen = {u for i, u in enumerate(pool) if mask >> i & 1}
+                    met = frozenset(
+                        (owner, i)
+                        for owner in part
+                        for i, (_, w) in enumerate(requirements[owner])
+                        if not w.isdisjoint(chosen)
+                    )
+                    solver.chosen = chosen
+                    key = solver._memo_key(avail, [])
+                    # one key per set of met requirements, and one set per key
+                    assert by_met.setdefault(met, key) == key
+                    assert by_key.setdefault(key, met) == met
+                ties += len(by_met) < 1 << len(pool)
+                splits += len(by_met) > 1
+        solver.chosen = set()
+        assert ties and splits
+
+    def test_deadline_stops_within_one_node(self, monkeypatch):
+        clock = TickClock()  # each read advances 1 ms
+        monkeypatch.setattr("chronolabel.solvers.time", clock)
+        instance = nav_scenario(0)
+        step = clock.step
+
+        # B&B: reads 1-20 fall before the limit, so node 21 raises
+        nodes = count_group_nodes(monkeypatch)
+        graph, kept, solver = max(
+            self._group_solvers(instance, AmMode.AM3), key=lambda item: len(item[1])
+        )
+        solver.deadline = _Deadline(20.5 * step)
+        with pytest.raises(_GroupTimeout):
+            solver.solve(dict(enumerate(kept)), [], 0.0)
+        assert nodes[solver] == 21
+        # a timed-out group reports the root bound
+        part = max(_label_groups(instance, graph), key=len)
+        _, proven, bound = _solve_group(instance, graph, part, _Deadline(20.5 * step))
+        assert not proven
+        assert bound == sum(solver._shares(dict(enumerate(kept))).values())
+
+        # the sweep reads the clock once per opening candidate and once per
+        # event time, so it returns at the first read past the limit
+        graph = build_graph(instance, AmMode.AM1)
+        requirements = _witness_requirements(instance, graph, set(range(len(graph))))
+        times = {t for v in requirements for t in (graph.starts[v], graph.ends[v])}
+        reads = len(requirements) + len(times)
+        start = clock.now
+        assert _k_sweep(graph, requirements, 2, _Deadline(math.inf)) is not None
+        assert clock.now - start == pytest.approx((1 + reads) * step)
+        start = clock.now
+        assert _k_sweep(graph, requirements, 2, _Deadline((reads // 2 + 0.5) * step)) is None
+        assert clock.now - start == pytest.approx((1 + reads // 2 + 1) * step)
+
+        # time_limit 0 runs no sweep
+        def no_sweep(*args):
+            raise AssertionError("a sweep at time_limit 0")
+
+        monkeypatch.setattr("chronolabel.solvers._k_sweep", no_sweep)
+        result = solve_exact(instance, krmt(2), AmMode.AM3, time_limit=0.0)
+        assert check_model(instance, result.phi, AmMode.AM3, k=2).valid
 
 
 class TestGreedy:
@@ -757,7 +867,7 @@ NAV_HEURISTIC_SOLVES += [(krmt(2), AmMode.AM1, "greedy"), (krmt(2), AmMode.AM1, 
 def run_solve(instance, problem, mode, algo, clock=None) -> str:
     if algo == "exact":
         if clock is not None:
-            clock.step = 1e-2  # 110 deadline reads of 256 checks each
+            clock.step = 1e-2  # about 110 deadline reads, one per search node
         result = solve_exact(instance, problem, mode, time_limit=NAV_TIME_LIMIT)
     elif algo == "pls":
         if clock is not None:
