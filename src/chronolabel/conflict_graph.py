@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .model import ActivitySet, Instance, TimeInterval, make_activity_set
+from .model import ActivitySet, Instance, TimeInterval
 from .validation import AmMode
 
 SIZE_LIMIT = 10**7
@@ -45,9 +45,9 @@ class ConflictGraph:
     the edges of its i-th candidate to the other label's candidates.
 
     ``build_graph`` keeps one graph per instance and model and hands it to
-    every solver, so the neighbour lists and intervals it derives on request
-    are shared too: no caller may change a column or what ``interval``,
-    ``neighbor_ids`` or ``neighbors`` return.
+    every solver, so the neighbour lists, cluster orders and intervals it
+    derives on request are shared too: no caller may change a column or what
+    ``interval``, ``neighbor_ids``, ``neighbors`` or ``by_weight`` return.
     """
 
     def __init__(
@@ -71,6 +71,7 @@ class ConflictGraph:
             self._rows[b].append((self._first[a], block.T))
         self._ids: List[Optional[List[int]]] = [None] * len(self.starts)
         self._neighbors: List[Optional[Set[int]]] = [None] * len(self.starts)
+        self._by_weight: List[Optional[List[int]]] = [None] * len(self.starts)
         self._intervals: List[Optional[TimeInterval]] = [None] * len(self.starts)  # on request
 
     def __len__(self) -> int:
@@ -102,6 +103,16 @@ class ConflictGraph:
                 out.update((row.nonzero()[0] + first).tolist())
         return out
 
+    def by_weight(self, v: int) -> List[int]:
+        """v's cluster, heaviest first (ties: smallest id); derived once per cluster."""
+        order = self._by_weight[v]
+        if order is None:
+            mates = self.cluster_of[v]
+            # a stable sort: equal weights keep ascending ids
+            order = sorted(mates, key=self.weights.__getitem__, reverse=True)
+            self._by_weight[mates.start : mates.stop] = [order] * len(mates)
+        return order
+
     def interval(self, v: int) -> TimeInterval:
         iv = self._intervals[v]
         if iv is None:
@@ -112,10 +123,18 @@ class ConflictGraph:
         return sum(self.weights[v] for v in selection)
 
     def to_activity_set(self, selection) -> ActivitySet:
+        """The selection's activities, labels and intervals in id order.
+
+        A label's ids are contiguous, in presence order and, within a
+        presence, in (start, end) order, so grouping the sorted ids gives
+        each label's intervals sorted, and labels in sorted order whatever
+        order the selection was built in.
+        """
         raw: Dict[str, list] = {}
-        for v in selection:
-            raw.setdefault(self.label_ids[v], []).append(self.interval(v))
-        return make_activity_set(raw)
+        label_ids, interval = self.label_ids, self.interval
+        for v in sorted(selection):
+            raw.setdefault(label_ids[v], []).append(interval(v))
+        return ActivitySet({lid: tuple(ivs) for lid, ivs in raw.items()})
 
 
 def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:

@@ -156,7 +156,8 @@ class ActivitySet:
 
     def __post_init__(self) -> None:
         for lid, intervals in self.activities.items():
-            _check_disjoint_sorted(intervals, f"activities of {lid!r}")
+            if len(intervals) > 1:
+                _check_disjoint_sorted(intervals, f"activities of {lid!r}")
 
     def items(self):
         return self.activities.items()
@@ -323,12 +324,16 @@ def _json_number(x) -> str:
 
 def dump_solution(phi: ActivitySet) -> str:
     """The bytes of ``json.dumps({"activities": [...]}, indent=2)``."""
-    rows = [
-        f'    {{\n      "label": {encode_basestring_ascii(lid)},\n'
-        f'      "start": {_json_number(iv.start)},\n      "end": {_json_number(iv.end)}\n    }}'
-        for lid in sorted(phi.activities)
-        for iv in phi.activities[lid]
-    ]
+    rows = []
+    for lid in sorted(phi.activities):
+        label = encode_basestring_ascii(lid)
+        for iv in phi.activities[lid]:
+            start, end = iv.start, iv.end
+            if type(start) is float is type(end) and math.isfinite(start) and math.isfinite(end):
+                start, end = repr(start), repr(end)  # the usual case, as _json_number does it
+            else:
+                start, end = _json_number(start), _json_number(end)
+            rows.append(f'    {{\n      "label": {label},\n      "start": {start},\n      "end": {end}\n    }}')
     if not rows:
         return '{\n  "activities": []\n}'
     return '{\n  "activities": [\n' + ",\n".join(rows) + "\n  ]\n}"

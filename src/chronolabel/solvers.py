@@ -38,7 +38,9 @@ import numpy as np
 
 from .conflict_graph import ConflictGraph, SizeLimitExceeded, build_graph
 from .model import ActivitySet, Instance, TimeInterval, make_activity_set, objective
-from .validation import AmMode, is_justified, saturate_excluding
+from .validation import AmMode, Saturation, endpoints_justified
+# perfbench's traced run wraps these by name in this module too
+from .validation import is_justified, saturate_excluding  # noqa: F401
 
 
 class Status(enum.Enum):
@@ -160,25 +162,40 @@ def _presence(instance: Instance, graph: ConflictGraph, v: int) -> TimeInterval:
     return instance.presences_of(graph.label_ids[v])[graph.presence_indices[v]]
 
 
-def _unjustified_candidates(instance: Instance, graph: ConflictGraph, selection: set) -> List[int]:
-    # a candidate spanning its whole presence needs no witness
-    inner = [v for v in selection if graph.interval(v) != _presence(instance, graph, v)]
-    if not inner:
-        return []
-    phi = graph.to_activity_set(selection)
-    justified = (is_justified(instance, phi, graph.label_ids[v], graph.interval(v)) for v in inner)
-    return [v for v, ok in zip(inner, justified) if not all(ok)]
-
-
 def repair_selection(instance: Instance, graph: ConflictGraph, selection: set) -> set:
-    """Saturate, then drop unjustified candidates until the set is model-valid."""
-    selected = set(selection)
+    """Saturate, then drop unjustified candidates until the set is model-valid.
+
+    One :class:`~chronolabel.validation.Saturation` serves the whole repair:
+    its neighbour counts are built once and each swap and drop updates them.
+    Each round tests the endpoints of the candidates that do not span their
+    presence against the selected candidates of each witness label, with
+    the rule of :func:`~chronolabel.validation.endpoints_justified`.
+    """
+    state = Saturation(graph, selection)
+    label_ids, starts, ends, weights = graph.label_ids, graph.starts, graph.ends, graph.weights
+    presences, presence_indices = instance.presences, graph.presence_indices
     while True:
-        selected = saturate_excluding(instance, graph, selected)
-        bad = _unjustified_candidates(instance, graph, selected)
+        selected = state.saturate()
+        of_label: Dict[str, List[int]] = defaultdict(list)
+        inner = []  # (candidate, presence) of those not spanning their presence
+        for v in selected:
+            lid = label_ids[v]
+            of_label[lid].append(v)
+            p = presences[lid][presence_indices[v]]
+            if starts[v] != p.start or ends[v] != p.end:
+                inner.append((v, p))
+
+        def active_at(label_id: str, t: float) -> bool:
+            return any(starts[u] <= t <= ends[u] for u in of_label.get(label_id, ()))
+
+        bad = [
+            v
+            for v, p in inner
+            if not all(endpoints_justified(instance, label_ids[v], starts[v], ends[v], p, active_at))
+        ]
         if not bad:
             return selected
-        selected.discard(min(bad, key=lambda v: (graph.weights[v], v)))
+        state.drop(min(bad, key=lambda v: (weights[v], v)))
 
 
 # ---------------------------------------------------------------------------

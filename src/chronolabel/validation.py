@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
-import numpy as np
-
 from .model import ActivitySet, Instance, IntegrityError, TimeInterval
 
 _START = attrgetter("start")
@@ -61,63 +59,96 @@ def _presence_containing(instance: Instance, label_id: str, iv: TimeInterval):
     return presences[i - 1] if i and iv.end <= presences[i - 1].end else None
 
 
-def check_valid(instance: Instance, phi: ActivitySet) -> ValidationReport:
-    """Check the base requirements R1-R3."""
-    violations = []
+def _located(instance: Instance, phi: ActivitySet) -> list:
+    """(label id, activity, its presence or None) per activity, in ``phi``
+    order: each check looks every presence up once."""
     for lid in phi.activities:
         if lid not in instance.labels:
             raise IntegrityError(f"activity references unknown label {lid!r}")
+    return [(lid, iv, _presence_containing(instance, lid, iv)) for lid, ivs in phi.items() for iv in ivs]
 
+
+def _base_violations(instance: Instance, phi: ActivitySet, located: list) -> list:
+    violations = []
     # R1: every activity interval lies inside a presence interval of its label.
     # R2: at most one activity interval per presence interval.
     per_presence_count: dict = {}
-    for lid, intervals in phi.items():
-        for iv in intervals:
-            p = _presence_containing(instance, lid, iv)
-            if p is None:
-                violations.append(Violation("R1", (lid,), (iv.start, iv.end)))
-            else:
-                key = (lid, p.start, p.end)
-                per_presence_count[key] = per_presence_count.get(key, 0) + 1
+    for lid, iv, p in located:
+        if p is None:
+            violations.append(Violation("R1", (lid,), (iv.start, iv.end)))
+        else:
+            key = (lid, p.start, p.end)
+            per_presence_count[key] = per_presence_count.get(key, 0) + 1
     for (lid, ps, pe), count in per_presence_count.items():
         if count > 1:
             violations.append(Violation("R2", (lid,), (ps, pe)))
 
-    # R3: no two activity intervals are in conflict (conflict interval meets
-    # the open overlap of the two activities).
+    # R3: no two activity intervals are in conflict: the closed conflict
+    # interval [cs, ce] meets the open overlap of the two activities, that
+    # is, each activity's open interval is nonempty and meets [cs, ce], and
+    # the two open intervals meet.
+    activities = phi.activities
     for entry in instance.conflicts:
-        for iv_a in phi.activities.get(entry.a, ()):
-            for iv_b in phi.activities.get(entry.b, ()):
-                lo = max(iv_a.start, iv_b.start)
-                hi = min(iv_a.end, iv_b.end)
-                if lo >= hi:
-                    continue
-                # open overlap (lo, hi) meets closed conflict interval
-                if entry.interval.start < hi and entry.interval.end > lo:
-                    violations.append(
-                        Violation(
-                            "R3",
-                            (entry.a, entry.b),
-                            (max(lo, entry.interval.start), min(hi, entry.interval.end)),
-                        )
-                    )
-    return ValidationReport(tuple(violations))
+        ivs_a = activities.get(entry.a)
+        ivs_b = ivs_a and activities.get(entry.b)
+        if not ivs_b:
+            continue
+        cs, ce = entry.interval.start, entry.interval.end
+        for a in ivs_a:
+            if not (cs < a.end and a.start < ce and a.start < a.end):
+                continue
+            for b in ivs_b:
+                if cs < b.end and b.start < ce and b.start < b.end and a.start < b.end and b.start < a.end:
+                    detail = (max(a.start, b.start, cs), min(a.end, b.end, ce))
+                    violations.append(Violation("R3", (entry.a, entry.b), detail))
+    return violations
 
 
-def _active_at(phi: ActivitySet, label_id: str, t: float) -> bool:
-    # Boundary coincidence counts: an activity [x, t] makes the label a valid
-    # witness at t (closed-interval convention).
-    return any(iv.start <= t <= iv.end for iv in phi.activities.get(label_id, ()))
+def check_valid(instance: Instance, phi: ActivitySet) -> ValidationReport:
+    """Check the base requirements R1-R3."""
+    return ValidationReport(tuple(_base_violations(instance, phi, _located(instance, phi))))
+
+
+def _active_in(phi: ActivitySet):
+    """Whether a label is active at a time in ``phi``.  Boundary coincidence
+    counts: an activity [x, t] makes the label a valid witness at t
+    (closed-interval convention)."""
+    activities = phi.activities
+
+    def active_at(label_id: str, t: float) -> bool:
+        return any(iv.start <= t <= iv.end for iv in activities.get(label_id, ()))
+
+    return active_at
+
+
+def endpoints_justified(
+    instance: Instance, label_id: str, start: float, end: float, presence: TimeInterval, active_at
+) -> tuple:
+    """(start_ok, end_ok) for an activity [start, end] of ``label_id`` in
+    ``presence``, with ``active_at(label id, t)`` telling whether a label is
+    active at t.
+
+    The start is justified if the label enters the viewport there, or a
+    conflict with an active witness ends exactly there; the end symmetric.
+    """
+    start_ok = start == presence.start
+    end_ok = end == presence.end
+    if not (start_ok and end_ok):
+        for other, conflict in instance.conflicts_of(label_id):
+            if not start_ok and conflict.end == start and active_at(other, start):
+                start_ok = True
+            if not end_ok and conflict.start == end and active_at(other, end):
+                end_ok = True
+            if start_ok and end_ok:
+                break
+    return (start_ok, end_ok)
 
 
 def is_justified(
     instance: Instance, phi: ActivitySet, label_id: str, interval: TimeInterval
 ) -> tuple:
-    """(start_ok, end_ok) for one activity interval of ``label_id``.
-
-    The start is justified if the label enters the viewport there, or a
-    conflict with an active witness ends exactly there; the end symmetric.
-    """
+    """(start_ok, end_ok) for one activity interval of ``label_id``; see
+    :func:`endpoints_justified`."""
     if interval not in phi.activities.get(label_id, ()):
         raise IntegrityError(f"interval [{interval.start},{interval.end}] not an activity of {label_id!r}")
     presence = _presence_containing(instance, label_id, interval)
@@ -125,17 +156,7 @@ def is_justified(
         raise IntegrityError(
             f"activity [{interval.start},{interval.end}] of {label_id!r} lies in no presence interval"
         )
-    start_ok = interval.start == presence.start
-    end_ok = interval.end == presence.end
-    if not (start_ok and end_ok):
-        for other, conflict in instance.conflicts_of(label_id):
-            if not start_ok and conflict.end == interval.start and _active_at(phi, other, conflict.end):
-                start_ok = True
-            if not end_ok and conflict.start == interval.end and _active_at(phi, other, conflict.start):
-                end_ok = True
-            if start_ok and end_ok:
-                break
-    return (start_ok, end_ok)
+    return endpoints_justified(instance, label_id, interval.start, interval.end, presence, _active_in(phi))
 
 
 def _k_bound_violations(phi: ActivitySet, k: int) -> list:
@@ -167,39 +188,131 @@ def check_model(
     k: Optional[int] = None,
     min_duration: float = 0.0,
 ) -> ValidationReport:
-    """Full conformance check: R1-R3 plus AM, k-bound and minimum duration."""
-    base = check_valid(instance, phi)
-    violations = list(base.violations)
+    """Full conformance check: R1-R3 plus AM, k-bound and minimum duration.
 
-    for lid, intervals in phi.items():
-        for iv in intervals:
-            presence = _presence_containing(instance, lid, iv)
-            if presence is None:
-                continue  # already reported as R1
-            if mode is AmMode.AM1:
-                if iv.start != presence.start:
-                    violations.append(Violation("AM-start", (lid,), (iv.start,)))
-                if iv.end != presence.end:
-                    violations.append(Violation("AM-end", (lid,), (iv.end,)))
-                continue
-            start_ok, end_ok = is_justified(instance, phi, lid, iv)
-            if mode is AmMode.AM2:
-                start_ok = iv.start == presence.start
-            if not start_ok:
-                violations.append(Violation("AM-start", (lid,), (iv.start,)))
-            if not end_ok:
-                violations.append(Violation("AM-end", (lid,), (iv.end,)))
+    One pass locates each activity's presence; R1/R2, the activity model and
+    justification all read that one lookup.
+    """
+    located = _located(instance, phi)
+    violations = _base_violations(instance, phi, located)
+    active_at = _active_in(phi)
+    for lid, iv, presence in located:
+        if presence is None:
+            continue  # already reported as R1
+        start_ok, end_ok = iv.start == presence.start, iv.end == presence.end
+        if mode is not AmMode.AM1 and not (start_ok and end_ok):
+            # a witness may justify an inner end, and under AM3 an inner start
+            justified = endpoints_justified(instance, lid, iv.start, iv.end, presence, active_at)
+            start_ok = start_ok or (mode is AmMode.AM3 and justified[0])
+            end_ok = justified[1]
+        if not start_ok:
+            violations.append(Violation("AM-start", (lid,), (iv.start,)))
+        if not end_ok:
+            violations.append(Violation("AM-end", (lid,), (iv.end,)))
 
     if k is not None:
         violations.extend(_k_bound_violations(phi, k))
 
     if min_duration > 0:
-        for lid, intervals in phi.items():
-            for iv in intervals:
-                if iv.length < min_duration:
-                    violations.append(Violation("MIN-DUR", (lid,), (iv.start, iv.end)))
+        for lid, iv, _ in located:
+            if iv.length < min_duration:
+                violations.append(Violation("MIN-DUR", (lid,), (iv.start, iv.end)))
 
     return ValidationReport(tuple(violations))
+
+
+class Saturation:
+    """An independent set of a conflict graph, repaired in place by
+    same-cluster swaps (:meth:`saturate`) and drops (:meth:`drop`).
+
+    ``crossed[u]`` counts u's selected cross neighbours.  It is built once,
+    from the neighbour ids of the selected candidates, and updated by each
+    move.  ``swaps`` holds each selected candidate's best swap, (weight
+    difference, incoming id), if any gains; a candidate's best swap is its
+    first free cluster mate in ``by_weight`` order.  A move rescans only the
+    selected candidates whose clusters hold a candidate whose count left or
+    reached zero, and the one moved in.
+    """
+
+    def __init__(self, graph, selection):
+        self.graph = graph
+        self.selected = set(selection)
+        self.crossed = crossed = [0] * len(graph)
+        self.holder = {}  # first id of a cluster -> its selected candidate
+        for v in self.selected:
+            for u in self._cross(v):
+                crossed[u] += 1
+            self.holder[graph.cluster_of[v].start] = v
+        if len(self.holder) < len(self.selected) or any(crossed[v] for v in self.selected):
+            raise IntegrityError("selection is not independent")
+        self.swaps: dict = {}
+        for v in self.selected:
+            self._scan(v)
+
+    def _cross(self, v: int) -> list:
+        # neighbour ids list the cluster mates first
+        return self.graph.neighbor_ids(v)[len(self.graph.cluster_of[v]) - 1 :]
+
+    def _scan(self, v: int) -> None:
+        weights, crossed = self.graph.weights, self.crossed
+        weight = weights[v]
+        best = None
+        for u in self.graph.by_weight(v):
+            diff = weight - weights[u]
+            # stop at the first candidate not heavier than v, or, once a free
+            # one is found, at the first weight difference that differs (an
+            # equal difference of another weight, by rounding, ties to the
+            # smaller id)
+            if diff >= 0 or (best and diff != best[0]):
+                break
+            if not crossed[u] and (best is None or u < best[1]):
+                best = (diff, u)
+        if best:
+            self.swaps[v] = best
+        else:
+            self.swaps.pop(v, None)
+
+    def _shift(self, v: int, step: int) -> set:
+        """Add ``step`` to the counts of v's cross neighbours; returns the
+        clusters, by first id, whose candidates became free or blocked."""
+        crossed, cluster_of = self.crossed, self.graph.cluster_of
+        flipped = set()
+        for u in self._cross(v):
+            count = crossed[u]
+            crossed[u] = count + step
+            if not count or count + step == 0:
+                flipped.add(cluster_of[u].start)
+        return flipped
+
+    def _rescan(self, clusters) -> None:
+        for first in clusters:
+            v = self.holder.get(first)
+            if v is not None:
+                self._scan(v)
+
+    def swap(self, outgoing: int, incoming: int) -> None:
+        """Exchange a selected candidate for a free cluster mate."""
+        self.selected.remove(outgoing)
+        self.selected.add(incoming)
+        del self.swaps[outgoing]
+        first = self.graph.cluster_of[incoming].start
+        self.holder[first] = incoming
+        self._rescan(self._shift(outgoing, -1) | self._shift(incoming, 1) | {first})
+
+    def drop(self, v: int) -> None:
+        """Remove a selected candidate; its cluster stays empty."""
+        self.selected.remove(v)
+        self.swaps.pop(v, None)
+        del self.holder[self.graph.cluster_of[v].start]
+        self._rescan(self._shift(v, -1))
+
+    def saturate(self) -> set:
+        """Make the swap with the largest weight gain (ties: smallest
+        incoming id) until none gains; returns the selection."""
+        while self.swaps:
+            (_, incoming), outgoing = min((swap, v) for v, swap in self.swaps.items())
+            self.swap(outgoing, incoming)
+        return self.selected
 
 
 def saturate_excluding(instance, graph, selection: set) -> set:
@@ -209,35 +322,8 @@ def saturate_excluding(instance, graph, selection: set) -> set:
     (ties: smallest incoming candidate id) until no swap strictly improves
     the total weight.  Never adds or removes vertices, only exchanges within
     clusters, so the output weight is >= the input weight, and a cluster
-    with no selected candidate stays empty.
+    with no selected candidate stays empty.  The selection's counts of
+    selected neighbours are built once and kept up to date by each swap (see
+    :class:`Saturation`); IntegrityError if it is not independent.
     """
-    selected = set(selection)
-    crossed = np.zeros(len(graph), dtype=np.int32)  # selected cross neighbours
-
-    def mark(v: int, step: int) -> None:
-        for first, row in graph.rows(v):
-            view = crossed[first : first + len(row)]
-            (np.add if step > 0 else np.subtract)(view, row, out=view)
-
-    for v in selected:
-        mark(v, 1)
-    clusters = [graph.cluster_of[v].start for v in selected]
-    if any(crossed[v] for v in selected) or len(set(clusters)) < len(clusters):
-        raise IntegrityError("selection is not independent")
-    weights = graph.weights
-    while True:
-        # v is u's only selected cluster mate, so crossed[u] decides; the
-        # largest gain first, then the smallest incoming id
-        swaps = [
-            (weights[v] - weights[u], u, v)
-            for v in selected
-            for u in graph.cluster_of[v]
-            if weights[u] > weights[v] and not crossed[u]
-        ]
-        if not swaps:
-            return selected
-        _, incoming, outgoing = min(swaps)
-        selected.remove(outgoing)
-        selected.add(incoming)
-        mark(outgoing, -1)
-        mark(incoming, 1)
+    return Saturation(graph, selection).saturate()

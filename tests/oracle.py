@@ -12,6 +12,7 @@ from chronolabel.conflict_graph import ConflictGraph, build_graph
 from chronolabel.model import (
     ConflictEntry,
     Instance,
+    IntegrityError,
     Label,
     TimeInterval,
     make_activity_set,
@@ -31,7 +32,7 @@ from chronolabel.scenario import (
     smooth_route,
 )
 from chronolabel.solvers import _IgVertex, _PlsState, mwis_intervals
-from chronolabel.validation import AmMode, check_model
+from chronolabel.validation import AmMode, ValidationReport, Violation, check_model
 
 
 def max_simultaneous(phi) -> int:
@@ -139,6 +140,157 @@ def saturate_reference(graph, selection) -> set:
             return selected
         _, u, v = min(swaps, key=lambda s: (-s[0], s[2]))
         selected = (selected - {u}) | {v}
+
+
+def _saturate_rows_reference(graph, selection: set) -> set:
+    """Best same-cluster swap until none gains, with the selected-neighbour
+    counts rebuilt from block rows on every call and every candidate's
+    cluster rescanned after every swap."""
+    selected = set(selection)
+    crossed = np.zeros(len(graph), dtype=np.int32)
+
+    def mark(v: int, step: int) -> None:
+        for first, row in graph.rows(v):
+            view = crossed[first : first + len(row)]
+            (np.add if step > 0 else np.subtract)(view, row, out=view)
+
+    for v in selected:
+        mark(v, 1)
+    weights = graph.weights
+    while True:
+        swaps = [
+            (weights[v] - weights[u], u, v)
+            for v in selected
+            for u in graph.cluster_of[v]
+            if weights[u] > weights[v] and not crossed[u]
+        ]
+        if not swaps:
+            return selected
+        _, incoming, outgoing = min(swaps)
+        selected.remove(outgoing)
+        selected.add(incoming)
+        mark(outgoing, -1)
+        mark(incoming, 1)
+
+
+def _activity_set_reference(graph, selection):
+    """The selection's activity set, labels in the selection's iteration order."""
+    raw: Dict[str, list] = {}
+    for v in selection:
+        raw.setdefault(graph.label_ids[v], []).append(graph.interval(v))
+    return make_activity_set(raw)
+
+
+def repair_reference(instance: Instance, graph, selection: set) -> set:
+    """Saturate from scratch, then drop the lightest candidate that
+    ``is_justified_reference`` rejects on the selection's activity set, until
+    none is rejected."""
+    selected = set(selection)
+    while True:
+        selected = _saturate_rows_reference(graph, selected)
+        inner = [
+            v
+            for v in selected
+            if graph.interval(v) != instance.presences_of(graph.label_ids[v])[graph.presence_indices[v]]
+        ]
+        phi = _activity_set_reference(graph, selected)
+        bad = [
+            v
+            for v in inner
+            if not all(is_justified_reference(instance, phi, graph.label_ids[v], graph.interval(v)))
+        ]
+        if not bad:
+            return selected
+        selected.discard(min(bad, key=lambda v: (graph.weights[v], v)))
+
+
+def check_valid_reference(instance: Instance, phi) -> list:
+    """R1-R3 violations, each rule in its own pass, presences by linear scan."""
+    violations = []
+    for lid in phi.activities:
+        if lid not in instance.labels:
+            raise IntegrityError(f"activity references unknown label {lid!r}")
+    per_presence_count: dict = {}
+    for lid, intervals in phi.items():
+        for iv in intervals:
+            p = presence_containing_reference(instance, lid, iv)
+            if p is None:
+                violations.append(Violation("R1", (lid,), (iv.start, iv.end)))
+            else:
+                key = (lid, p.start, p.end)
+                per_presence_count[key] = per_presence_count.get(key, 0) + 1
+    for (lid, ps, pe), count in per_presence_count.items():
+        if count > 1:
+            violations.append(Violation("R2", (lid,), (ps, pe)))
+    for entry in instance.conflicts:
+        for iv_a in phi.activities.get(entry.a, ()):
+            for iv_b in phi.activities.get(entry.b, ()):
+                lo = max(iv_a.start, iv_b.start)
+                hi = min(iv_a.end, iv_b.end)
+                if lo < hi and entry.interval.start < hi and entry.interval.end > lo:
+                    detail = (max(lo, entry.interval.start), min(hi, entry.interval.end))
+                    violations.append(Violation("R3", (entry.a, entry.b), detail))
+    return violations
+
+
+def is_justified_reference(instance: Instance, phi, label_id: str, interval: TimeInterval) -> tuple:
+    """(start_ok, end_ok): an endpoint is justified at its presence's
+    endpoint, or where a conflict with a label active then ends (start) or
+    starts (end)."""
+    if interval not in phi.activities.get(label_id, ()):
+        raise IntegrityError(f"interval [{interval.start},{interval.end}] not an activity of {label_id!r}")
+    presence = presence_containing_reference(instance, label_id, interval)
+    if presence is None:
+        raise IntegrityError(f"activity of {label_id!r} lies in no presence interval")
+
+    def active_at(other: str, t: float) -> bool:
+        return any(iv.start <= t <= iv.end for iv in phi.activities.get(other, ()))
+
+    start_ok = interval.start == presence.start
+    end_ok = interval.end == presence.end
+    for other, conflict in instance.conflicts_of(label_id):
+        if not start_ok and conflict.end == interval.start and active_at(other, conflict.end):
+            start_ok = True
+        if not end_ok and conflict.start == interval.end and active_at(other, conflict.start):
+            end_ok = True
+    return (start_ok, end_ok)
+
+
+def check_model_reference(instance: Instance, phi, mode: AmMode, k=None, min_duration=0.0):
+    """``check_model``'s report with every rule in its own pass: R1-R3, then
+    the activity model per activity (presence looked up again, then the
+    justification of both endpoints), then the k bound by rescanning every
+    elementary slice, then minimum durations."""
+    violations = check_valid_reference(instance, phi)
+    for lid, intervals in phi.items():
+        for iv in intervals:
+            presence = presence_containing_reference(instance, lid, iv)
+            if presence is None:
+                continue
+            if mode is AmMode.AM1:
+                start_ok, end_ok = iv.start == presence.start, iv.end == presence.end
+            else:
+                start_ok, end_ok = is_justified_reference(instance, phi, lid, iv)
+                if mode is AmMode.AM2:
+                    start_ok = iv.start == presence.start
+            if not start_ok:
+                violations.append(Violation("AM-start", (lid,), (iv.start,)))
+            if not end_ok:
+                violations.append(Violation("AM-end", (lid,), (iv.end,)))
+    if k is not None:
+        intervals = [iv for _, ivs in phi.items() for iv in ivs if iv.length > 0]
+        points = sorted({p for iv in intervals for p in (iv.start, iv.end)})
+        for lo, hi in zip(points, points[1:]):
+            mid = 0.5 * (lo + hi)
+            if sum(1 for iv in intervals if iv.start < mid < iv.end) > k:
+                violations.append(Violation("K-BOUND", (), (mid,)))
+                break
+    if min_duration > 0:
+        for lid, intervals in phi.items():
+            for iv in intervals:
+                if iv.length < min_duration:
+                    violations.append(Violation("MIN-DUR", (lid,), (iv.start, iv.end)))
+    return ValidationReport(tuple(violations))
 
 
 def pls_rescan(graph, selected) -> tuple:

@@ -13,6 +13,7 @@ from chronolabel.conflict_graph import ConflictGraph, build_graph
 from chronolabel.model import (
     ConflictEntry,
     Instance,
+    IntegrityError,
     Label,
     TimeInterval,
     dump_solution,
@@ -41,6 +42,7 @@ from chronolabel.solvers import (
     _witness_requirements,
     krmt,
     mwis_intervals,
+    repair_selection,
     solve_exact,
     solve_greedy,
     solve_intgraph,
@@ -522,6 +524,8 @@ class TestGreedy:
 
 
 def test_heuristics_never_derive_neighbor_sets(monkeypatch):
+    # Scenario 21's AM3 neighbour sets take about 115 MB; the heuristics and
+    # the post-solve path read block rows and neighbour ids only.
     def refuse(graph, v):
         raise AssertionError("neighbors() called")
 
@@ -532,6 +536,12 @@ def test_heuristics_never_derive_neighbor_sets(monkeypatch):
         solve_pls(instance, GMT, AmMode.AM3),
     ):
         assert check_model(instance, result.phi, AmMode.AM3).valid
+    graph = build_graph(instance, AmMode.AM3)
+    everything = set(range(len(graph)))  # no independent set: repair rejects it
+    with pytest.raises(IntegrityError):
+        repair_selection(instance, graph, everything)
+    repaired = repair_selection(instance, graph, _greedy_selection(graph, None))
+    assert check_model(instance, graph.to_activity_set(repaired), AmMode.AM3).valid
 
 
 class Reweighted:
