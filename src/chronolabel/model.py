@@ -156,8 +156,7 @@ class ActivitySet:
 
     def __post_init__(self) -> None:
         for lid, intervals in self.activities.items():
-            if len(intervals) > 1:
-                _check_disjoint_sorted(intervals, f"activities of {lid!r}")
+            _check_disjoint_sorted(intervals, f"activities of {lid!r}")
 
     def items(self):
         return self.activities.items()
@@ -328,12 +327,10 @@ def dump_solution(phi: ActivitySet) -> str:
     for lid in sorted(phi.activities):
         label = encode_basestring_ascii(lid)
         for iv in phi.activities[lid]:
-            start, end = iv.start, iv.end
-            if type(start) is float is type(end) and math.isfinite(start) and math.isfinite(end):
-                start, end = repr(start), repr(end)  # the usual case, as _json_number does it
-            else:
-                start, end = _json_number(start), _json_number(end)
-            rows.append(f'    {{\n      "label": {label},\n      "start": {start},\n      "end": {end}\n    }}')
+            rows.append(
+                f'    {{\n      "label": {label},\n'
+                f'      "start": {_json_number(iv.start)},\n      "end": {_json_number(iv.end)}\n    }}'
+            )
     if not rows:
         return '{\n  "activities": []\n}'
     return '{\n  "activities": [\n' + ",\n".join(rows) + "\n  ]\n}"

@@ -176,22 +176,22 @@ def repair_selection(instance: Instance, graph: ConflictGraph, selection: set) -
     presences, presence_indices = instance.presences, graph.presence_indices
     while True:
         selected = state.saturate()
-        of_label: Dict[str, List[int]] = defaultdict(list)
+        spans: Dict[str, List[Tuple[float, float]]] = defaultdict(list)
         inner = []  # (candidate, presence) of those not spanning their presence
         for v in selected:
             lid = label_ids[v]
-            of_label[lid].append(v)
+            spans[lid].append((starts[v], ends[v]))
             p = presences[lid][presence_indices[v]]
             if starts[v] != p.start or ends[v] != p.end:
                 inner.append((v, p))
 
-        def active_at(label_id: str, t: float) -> bool:
-            return any(starts[u] <= t <= ends[u] for u in of_label.get(label_id, ()))
+        def spans_of(label_id: str) -> Sequence:
+            return spans.get(label_id, ())
 
         bad = [
             v
             for v, p in inner
-            if not all(endpoints_justified(instance, label_ids[v], starts[v], ends[v], p, active_at))
+            if not all(endpoints_justified(instance, label_ids[v], starts[v], ends[v], p, spans_of))
         ]
         if not bad:
             return selected

@@ -109,28 +109,28 @@ def check_valid(instance: Instance, phi: ActivitySet) -> ValidationReport:
     return ValidationReport(tuple(_base_violations(instance, phi, _located(instance, phi))))
 
 
-def _active_in(phi: ActivitySet):
-    """Whether a label is active at a time in ``phi``.  Boundary coincidence
-    counts: an activity [x, t] makes the label a valid witness at t
-    (closed-interval convention)."""
+def _spans_in(phi: ActivitySet):
+    """The (start, end) pairs of a label's activities in ``phi``."""
     activities = phi.activities
-
-    def active_at(label_id: str, t: float) -> bool:
-        return any(iv.start <= t <= iv.end for iv in activities.get(label_id, ()))
-
-    return active_at
+    return lambda label_id: ((iv.start, iv.end) for iv in activities.get(label_id, ()))
 
 
 def endpoints_justified(
-    instance: Instance, label_id: str, start: float, end: float, presence: TimeInterval, active_at
+    instance: Instance, label_id: str, start: float, end: float, presence: TimeInterval, spans_of
 ) -> tuple:
     """(start_ok, end_ok) for an activity [start, end] of ``label_id`` in
-    ``presence``, with ``active_at(label id, t)`` telling whether a label is
-    active at t.
+    ``presence``, with ``spans_of(label id)`` giving the (start, end) pairs
+    during which that label is active.
 
     The start is justified if the label enters the viewport there, or a
     conflict with an active witness ends exactly there; the end symmetric.
+    Boundary coincidence counts: an activity [x, t] makes its label a valid
+    witness at t (closed-interval convention).
     """
+
+    def active_at(other: str, t: float) -> bool:
+        return any(s <= t <= e for s, e in spans_of(other))
+
     start_ok = start == presence.start
     end_ok = end == presence.end
     if not (start_ok and end_ok):
@@ -156,7 +156,7 @@ def is_justified(
         raise IntegrityError(
             f"activity [{interval.start},{interval.end}] of {label_id!r} lies in no presence interval"
         )
-    return endpoints_justified(instance, label_id, interval.start, interval.end, presence, _active_in(phi))
+    return endpoints_justified(instance, label_id, interval.start, interval.end, presence, _spans_in(phi))
 
 
 def _k_bound_violations(phi: ActivitySet, k: int) -> list:
@@ -195,14 +195,14 @@ def check_model(
     """
     located = _located(instance, phi)
     violations = _base_violations(instance, phi, located)
-    active_at = _active_in(phi)
+    spans_of = _spans_in(phi)
     for lid, iv, presence in located:
         if presence is None:
             continue  # already reported as R1
         start_ok, end_ok = iv.start == presence.start, iv.end == presence.end
         if mode is not AmMode.AM1 and not (start_ok and end_ok):
             # a witness may justify an inner end, and under AM3 an inner start
-            justified = endpoints_justified(instance, lid, iv.start, iv.end, presence, active_at)
+            justified = endpoints_justified(instance, lid, iv.start, iv.end, presence, spans_of)
             start_ok = start_ok or (mode is AmMode.AM3 and justified[0])
             end_ok = justified[1]
         if not start_ok:
