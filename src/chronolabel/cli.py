@@ -264,7 +264,7 @@ def cmd_graph_dump(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             for v in range(len(graph))
         ],
         "clusters": [sorted(members) for _, members in sorted(graph.clusters.items())],
-        "adjacency": [sorted(graph.neighbors(v)) for v in range(len(graph))],
+        "adjacency": [sorted(graph.neighbor_ids(v)) for v in range(len(graph))],
     }
     text = json.dumps(doc, indent=2)
     if args.out:
@@ -576,8 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="extract an instance from a scenario")
-    p_gen.add_argument("scenario", nargs="?", help="scenario JSON file (omit to synthesize)")
-    p_gen.add_argument("--demo", action="store_true", help="use the bundled demo scenario")
+    source = p_gen.add_mutually_exclusive_group()
+    source.add_argument("scenario", nargs="?", help="scenario JSON file (omit to synthesize)")
+    source.add_argument("--demo", action="store_true", help="use the bundled demo scenario")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", help="instance output path (default: stdout)")
     p_gen.add_argument("--scenario-out", help="also write the scenario JSON here")

@@ -42,7 +42,8 @@ class ConflictGraph:
     ``cluster_of[v]`` is the range of v's cluster: cluster mates are
     adjacent implicitly.  Cross edges are one boolean block per conflicting
     label pair, reachable from both labels: row i of a label's block holds
-    the edges of its i-th candidate to the other label's candidates.
+    the edges of its i-th candidate to the other label's candidates.  Only
+    ``neighbor_ids`` reads those rows; ``neighbors`` is the set of its list.
 
     ``build_graph`` keeps one graph per instance and model and hands it to
     every solver, so the neighbour lists, cluster orders and intervals it
@@ -77,30 +78,24 @@ class ConflictGraph:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def rows(self, v: int) -> List[Tuple[int, np.ndarray]]:
-        """v's block rows: (first, row) means v ~ first + j iff row[j]."""
-        lid = self.label_ids[v]
-        i = v - self._first[lid]
-        return [(first, block[i]) for first, block in self._rows.get(lid, ())]
-
     def neighbor_ids(self, v: int) -> List[int]:
-        """v's cluster mates, then its cross neighbours; derived once."""
+        """v's cluster mates in ascending order, then its cross neighbours,
+        read from its block rows; derived once."""
         ids = self._ids[v]
         if ids is None:
             mates = self.cluster_of[v]
             ids = self._ids[v] = [*range(mates.start, v), *range(v + 1, mates.stop)]
-            for first, row in self.rows(v):
-                ids += (row.nonzero()[0] + first).tolist()
+            lid = self.label_ids[v]
+            i = v - self._first[lid]
+            for first, block in self._rows.get(lid, ()):
+                ids += (block[i].nonzero()[0] + first).tolist()
         return ids
 
     def neighbors(self, v: int) -> Set[int]:
-        """v's neighbours as a set; derived once, apart from ``neighbor_ids``."""
+        """The set of ``neighbor_ids(v)``, sharing its ints; derived once."""
         out = self._neighbors[v]
         if out is None:
-            out = self._neighbors[v] = set(self.cluster_of[v])
-            out.discard(v)
-            for first, row in self.rows(v):
-                out.update((row.nonzero()[0] + first).tolist())
+            out = self._neighbors[v] = set(self.neighbor_ids(v))
         return out
 
     def by_weight(self, v: int) -> List[int]:

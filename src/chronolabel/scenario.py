@@ -46,6 +46,8 @@ DEFAULT_ZOOM_RAMP = 2.0
 DEFAULT_MIN_ZOOM_GAP = 5.0
 DEFAULT_DT = 0.05
 DEFAULT_EPS = 1e-3
+# The Scenario fields a scenario file sets, besides the fixed viewport.
+SETTINGS = ("smoothing_radius", "zoom_ramp", "min_zoom_gap", "dt", "eps")
 
 # A point fixed on the map must take at least 60 s to traverse the viewport
 # height (600 px), so the pixels-per-meter factor at speed v is bounded by
@@ -564,15 +566,13 @@ def load_scenario(source: Source) -> Scenario:
         settings = doc.get("settings", {})
         if not isinstance(settings, dict):
             raise ParseError("settings must be an object")
+        unknown = sorted(settings.keys() - {"viewport_px", *SETTINGS})
+        if unknown:
+            raise ParseError(f"unknown settings: {', '.join(unknown)}")
+        if settings.get("viewport_px", list(VIEWPORT_PX)) != list(VIEWPORT_PX):
+            raise ParseError(f"setting 'viewport_px' must be {list(VIEWPORT_PX)}")
         values = {
-            key: finite_number(settings.get(key, default), f"setting {key!r}")
-            for key, default in (
-                ("smoothing_radius", DEFAULT_SMOOTHING_RADIUS),
-                ("zoom_ramp", DEFAULT_ZOOM_RAMP),
-                ("min_zoom_gap", DEFAULT_MIN_ZOOM_GAP),
-                ("dt", DEFAULT_DT),
-                ("eps", DEFAULT_EPS),
-            )
+            key: finite_number(settings[key], f"setting {key!r}") for key in SETTINGS if key in settings
         }
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"scenario: {exc}") from exc
@@ -597,11 +597,7 @@ def dump_scenario(scenario: Scenario) -> str:
             ],
             "settings": {
                 "viewport_px": list(VIEWPORT_PX),
-                "smoothing_radius": scenario.smoothing_radius,
-                "zoom_ramp": scenario.zoom_ramp,
-                "min_zoom_gap": scenario.min_zoom_gap,
-                "dt": scenario.dt,
-                "eps": scenario.eps,
+                **{key: getattr(scenario, key) for key in SETTINGS},
             },
         },
         indent=2,

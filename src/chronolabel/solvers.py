@@ -460,7 +460,7 @@ class _GroupSolver:
         starts, ends = graph.starts, graph.ends
         full = [min(m, key=lambda v: (starts[v], -ends[v])) for m in clusters]
         self.cluster_adj: List[set] = [
-            {self.cluster_of.get(u) for u in graph.neighbors(f)} - {i, None}
+            {self.cluster_of.get(u) for u in graph.neighbor_ids(f)} - {i, None}
             for i, f in enumerate(full)
         ]
         self.adj_up = [tuple(cj for cj in adj if cj > ci) for ci, adj in enumerate(self.cluster_adj)]
@@ -867,7 +867,7 @@ def solve_exact(
 def _greedy_selection(graph: ConflictGraph, k: Optional[int], within: Optional[set] = None) -> set:
     """Heaviest candidates first (ties: smallest id), each taken unless an
     earlier pick blocks it or, with ``k``, it would exceed k open at once."""
-    blocked = np.zeros(len(graph), dtype=bool)
+    blocked = bytearray(len(graph))
     if k is not None:
         # open picks per elementary slice between candidate endpoints
         points, slices = np.unique([graph.starts, graph.ends], return_inverse=True)
@@ -884,10 +884,8 @@ def _greedy_selection(graph: ConflictGraph, k: Optional[int], within: Optional[s
                 continue
             counts[lo:hi] += 1
         selected.add(v)
-        mates = graph.cluster_of[v]
-        blocked[mates.start : mates.stop] = True
-        for first, row in graph.rows(v):
-            blocked[first : first + len(row)] |= row
+        for u in graph.neighbor_ids(v):
+            blocked[u] = 1
     return selected
 
 

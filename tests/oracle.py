@@ -142,17 +142,18 @@ def saturate_reference(graph, selection) -> set:
         selected = (selected - {u}) | {v}
 
 
-def _saturate_rows_reference(graph, selection: set) -> set:
+def _saturate_reference(graph, selection: set) -> set:
     """Best same-cluster swap until none gains, with the selected-neighbour
-    counts rebuilt from block rows on every call and every candidate's
-    cluster rescanned after every swap."""
+    counts rebuilt from the neighbour ids on every call and every
+    candidate's cluster rescanned after every swap."""
     selected = set(selection)
-    crossed = np.zeros(len(graph), dtype=np.int32)
+    crossed = [0] * len(graph)
 
     def mark(v: int, step: int) -> None:
-        for first, row in graph.rows(v):
-            view = crossed[first : first + len(row)]
-            (np.add if step > 0 else np.subtract)(view, row, out=view)
+        mates = graph.cluster_of[v]
+        for u in graph.neighbor_ids(v):
+            if u not in mates:
+                crossed[u] += step
 
     for v in selected:
         mark(v, 1)
@@ -187,7 +188,7 @@ def repair_reference(instance: Instance, graph, selection: set) -> set:
     none is rejected."""
     selected = set(selection)
     while True:
-        selected = _saturate_rows_reference(graph, selected)
+        selected = _saturate_reference(graph, selected)
         inner = [
             v
             for v in selected

@@ -79,6 +79,9 @@ class TestGenerate:
             {"settings": [1]},
             {"settings": {"dt": 0}},
             {"route": [[math.inf, 0], [0, 1000]]},
+            {"settings": {"viewport_px": [1920, 1080]}},
+            {"settings": {"viewport_px": "nonsense"}},
+            {"settings": {"smoothing_raduis": 40.0}},
         ],
     )
     def test_malformed_scenario_exit_2(self, tmp_path, doc):
@@ -164,9 +167,10 @@ class TestSolve:
         ["solve", "{i1}", "--time-limit", "inf"],
         ["solve", "{i1}", "--time-limit", "-1"],
         ["generate", "--demo", "--min-activity", "nan", "--out", "{dir}/out.json"],
+        ["generate", "{dir}/nope.json", "--demo", "--out", "{dir}/out.json"],
     ],
     ids=["k-0", "mode-x", "algo-magic", "limit-nan", "limit-inf", "limit-negative",
-         "min-activity-nan"],
+         "min-activity-nan", "demo-with-path"],
 )
 def test_bad_flag_value_is_usage_error(i1_file, tmp_path, argv):
     argv = [a.format(i1=i1_file, dir=tmp_path) for a in argv]

@@ -221,6 +221,11 @@ def test_edges_match_oracle():
             edges = graph_edges(graph)
             assert edges == cluster_and_oracle_edges(instance, graph)
             assert graph.edge_count == len(edges)
+            for v in range(len(graph)):
+                # Saturation reads the cross neighbours past the cluster mates
+                ids, mates = graph.neighbor_ids(v), graph.cluster_of[v]
+                assert ids[: len(mates) - 1] == [u for u in mates if u != v]
+                assert len(set(ids)) == len(ids) and set(ids) == graph.neighbors(v)
 
 
 def test_zero_length_presence_with_zero_length_conflict():

@@ -1,7 +1,9 @@
 """Checks on the benchmark's hooks into the package (perfbench/)."""
 
-import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from chronolabel import solvers
 from chronolabel.conflict_graph import build_graph
@@ -10,20 +12,15 @@ from chronolabel.validation import AmMode
 from conftest import navigation_corpus
 from oracle import _conflicting_pairs
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import bench
+import tracing
+import workloads
 
 
 def test_traced_attributes_exist():
     # The traced run wraps each (module, attribute) by name, so a rename or
     # deletion in the package must fail here rather than in the traced run.
-    tracing = _load_tracing()
     missing = [
         f"{module.__name__}.{attr}"
         for module, attr, _, _ in tracing.TRACED
@@ -35,7 +32,6 @@ def test_traced_attributes_exist():
 def test_build_info_counts_match_oracle():
     # The per-layer conflict_graph.vertices/edges figures come from
     # _build_info, which reads len(graph) and graph.edge_count.
-    tracing = _load_tracing()
     tracer = tracing.Tracer()
     vertices = edges = 0
     tracer.install()
@@ -55,3 +51,13 @@ def test_build_info_counts_match_oracle():
     metrics = tracer.layer_metrics()
     assert metrics["conflict_graph.vertices"] == vertices
     assert metrics["conflict_graph.edges"] == edges
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_workload_pass_clears_gate(workload):
+    # One pass over scenario 21 alone, through every name the benchmark
+    # reads from the package, so a rename fails here and not in a run.
+    requests = workloads.requests(workload, workloads.nav_corpus(0, 0))
+    loop = bench.run_loop(requests, 0.0)
+    assert loop.passes == 1
+    assert bench.gate(loop) == []

@@ -112,11 +112,11 @@ def test_check_model_matches_reference_on_broken_sets(seed):
         assert rule in hit, rule
 
 
-def count_rows(monkeypatch) -> list:
-    """Count ``ConflictGraph.rows`` calls, and Saturation swaps and drops,
-    from now on: [rows, swaps, drops]."""
+def count_reads(monkeypatch) -> list:
+    """Count ``ConflictGraph.neighbor_ids`` calls, and Saturation swaps and
+    drops, from now on: [reads, swaps, drops]."""
     counts = [0, 0, 0]
-    rows, swap, drop = ConflictGraph.rows, Saturation.swap, Saturation.drop
+    reads, swap, drop = ConflictGraph.neighbor_ids, Saturation.swap, Saturation.drop
 
     def counting(index, fn):
         def wrapper(*args):
@@ -125,7 +125,7 @@ def count_rows(monkeypatch) -> list:
 
         return wrapper
 
-    monkeypatch.setattr(ConflictGraph, "rows", counting(0, rows))
+    monkeypatch.setattr(ConflictGraph, "neighbor_ids", counting(0, reads))
     monkeypatch.setattr(Saturation, "swap", counting(1, swap))
     monkeypatch.setattr(Saturation, "drop", counting(2, drop))
     return counts
@@ -151,19 +151,19 @@ def pls_best_set(instance, mode) -> set:
 @pytest.mark.parametrize("source", ["greedy", "pls"])
 def test_repair_reads_each_row_once(monkeypatch, source):
     # The neighbour counts are built once per repair, not once per round:
-    # one block-row read per selected candidate, plus one per swap or drop.
-    # a graph of its own, with no neighbour ids derived yet
-    instance = apply_min_activity(extract_instance(synthesize_scenario(21)), 1.0)
+    # one neighbour-id read per selected candidate, plus one for each
+    # candidate a swap moves out or in and one per drop.
+    instance = nav_scenario(21)
     graph = build_graph(instance, AmMode.AM3)
     if source == "greedy":
         selection = _greedy_selection(graph, None)
     else:
-        selection = pls_best_set(nav_scenario(21), AmMode.AM3)
-    counts = count_rows(monkeypatch)
+        selection = pls_best_set(instance, AmMode.AM3)
+    counts = count_reads(monkeypatch)
     out = repair_selection(instance, graph, selection)
-    rows, swaps, drops = counts
+    reads, swaps, drops = counts
     assert drops == len(selection) - len(out)
-    assert rows <= len(selection) + swaps + drops
+    assert reads <= len(selection) + 2 * swaps + drops
     if source == "greedy":
         assert drops == 1  # two rounds: the counts would be rebuilt in the second
 

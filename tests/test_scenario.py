@@ -349,6 +349,9 @@ class TestSerialization:
             pytest.param(("pois", 0, "x"), -math.inf, id="poi-x-inf"),
             pytest.param(("pois", 0, "weight"), math.nan, id="poi-weight-nan"),
             pytest.param(("pois", 0, "name"), 5, id="poi-name-number"),
+            pytest.param(("settings",), {"viewport_px": [1920, 1080]}, id="viewport-other"),
+            pytest.param(("settings",), {"viewport_px": "nonsense"}, id="viewport-string"),
+            pytest.param(("settings",), {"smoothing_raduis": 40.0}, id="setting-unknown"),
         ],
     )
     def test_malformed_scenario_is_parse_error(self, path, value):

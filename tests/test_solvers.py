@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chronolabel.cli import apply_min_activity
+from chronolabel.cli import apply_min_activity, main
 from chronolabel.conflict_graph import ConflictGraph, build_graph
 from chronolabel.model import (
     ConflictEntry,
@@ -16,6 +16,7 @@ from chronolabel.model import (
     IntegrityError,
     Label,
     TimeInterval,
+    dump_instance,
     dump_solution,
     load_instance,
     make_activity_set,
@@ -523,14 +524,18 @@ class TestGreedy:
         assert _greedy_selection(graph, k) == greedy_reference(graph, k)
 
 
-def test_heuristics_never_derive_neighbor_sets(monkeypatch):
-    # Scenario 21's AM3 neighbour sets take about 115 MB; the heuristics and
-    # the post-solve path read block rows and neighbour ids only.
+def test_heuristics_never_derive_neighbor_sets(monkeypatch, tmp_path):
+    # Scenario 21's AM3 neighbour sets take about 120 MB beside its neighbour
+    # ids; the heuristics, the post-solve path and graph-dump read the ids only.
     def refuse(graph, v):
         raise AssertionError("neighbors() called")
 
     instance = nav_scenario(21)
     monkeypatch.setattr(ConflictGraph, "neighbors", refuse)
+    path = tmp_path / "instance.json"
+    path.write_text(dump_instance(instance))
+    out = tmp_path / "graph.json"
+    assert main(["graph-dump", str(path), "--am", "3", "--out", str(out)]) == 0
     for result in (
         solve_greedy(instance, GMT, AmMode.AM3),
         solve_pls(instance, GMT, AmMode.AM3),
