@@ -159,12 +159,14 @@ def _read(path: str) -> str:
 
 
 def cmd_generate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.seed is not None and (args.demo or args.scenario is not None):
+        parser.error("--seed only applies to a synthesized scenario, not --demo or a file")
     if args.demo:
         scenario = load_scenario(demo_scenario_text())
     elif args.scenario is not None:
         scenario = load_scenario(_read(args.scenario))
     else:
-        scenario = synthesize_scenario(args.seed)
+        scenario = synthesize_scenario(args.seed or 0)
     if args.scenario_out:
         from .scenario import dump_scenario
 
@@ -579,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_gen.add_mutually_exclusive_group()
     source.add_argument("scenario", nargs="?", help="scenario JSON file (omit to synthesize)")
     source.add_argument("--demo", action="store_true", help="use the bundled demo scenario")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, help="synthesized scenario's seed (default 0)")
     p_gen.add_argument("--out", help="instance output path (default: stdout)")
     p_gen.add_argument("--scenario-out", help="also write the scenario JSON here")
     p_gen.add_argument(

@@ -133,15 +133,10 @@ class Instance:
             _check_disjoint_sorted(sorted(ivs), f"conflicts of pair {pair}")
         # The conflict index, in ``conflicts`` order; not a field, so equality
         # and repr are those of the fields alone.
-        object.__setattr__(self, "_by_pair", {k: tuple(v) for k, v in per_pair.items()})
         object.__setattr__(self, "_by_label", {k: tuple(v) for k, v in per_label.items()})
 
     def presences_of(self, label_id: str) -> tuple:
         return self.presences.get(label_id, ())
-
-    def conflicts_between(self, a: str, b: str) -> tuple:
-        """Conflict intervals of the pair, in ``conflicts`` order."""
-        return self._by_pair.get((a, b) if a < b else (b, a), ())
 
     def conflicts_of(self, label_id: str) -> tuple:
         """(other label id, interval) pairs for all conflicts involving the label."""

@@ -1071,6 +1071,32 @@ def solve_pls(
 # Max-weight independent set on interval graphs
 
 
+def _mwis_sorted(ends: Sequence[float], starts: Sequence[float], weights: Sequence[float]) -> List[int]:
+    """Positions, last first, of a maximum-weight set of pairwise
+    non-intersecting closed intervals given as columns in end order.
+
+    Among equal-weight optima the backtrack prefers earlier positions: an
+    interval is taken only if taking it is strictly heavier than the best
+    set of the positions before it.
+    """
+    # p[j]: number of intervals (in end order) finishing strictly before start of j
+    p = list(map(bisect.bisect_left, itertools.repeat(ends), starts))
+    opt, last = [0.0], [0]  # last[j]: 1 + the last position taken among the first j
+    best, at = 0.0, 0
+    for j, w, before in zip(itertools.count(1), weights, p):
+        take = w + opt[before]
+        if take > best:
+            best, at = take, j
+        opt.append(best)
+        last.append(at)
+    chosen: List[int] = []
+    j = at
+    while j > 0:
+        chosen.append(j - 1)
+        j = last[p[j - 1]]
+    return chosen
+
+
 def mwis_intervals(items: Sequence[Tuple[TimeInterval, float]]) -> List[int]:
     """Indices of a maximum-weight set of pairwise non-intersecting intervals.
 
@@ -1080,22 +1106,7 @@ def mwis_intervals(items: Sequence[Tuple[TimeInterval, float]]) -> List[int]:
     """
     keyed = sorted([(iv.end, iv.start, i, w) for i, (iv, w) in enumerate(items)])
     ends, starts, index, weight = zip(*keyed) if keyed else ((), (), (), ())
-    # p[j]: number of intervals (in end order) finishing strictly before start of j
-    p = list(map(bisect.bisect_left, itertools.repeat(ends), starts))
-    opt = [0.0]
-    for w, before in zip(weight, p):
-        best, take = opt[-1], w + opt[before]
-        opt.append(take if take > best else best)
-    chosen: List[int] = []
-    j = len(keyed)
-    while j > 0:
-        if weight[j - 1] + opt[p[j - 1]] > opt[j - 1]:
-            chosen.append(index[j - 1])
-            j = p[j - 1]
-        else:
-            j -= 1
-    chosen.reverse()
-    return chosen
+    return [index[j] for j in reversed(_mwis_sorted(ends, starts, weight))]
 
 
 # ---------------------------------------------------------------------------
@@ -1166,6 +1177,44 @@ def _shorten(
     return _IgVertex(vertex.label_id, TimeInterval(-s, t), weight)
 
 
+def _intgraph_start(instance: Instance) -> tuple:
+    """IntGraph's first-round vertices, kept on the instance (it is
+    immutable) for its later solves: the vertices by creation number, each
+    label's creation numbers, each label's conflicts grouped by a partner
+    label that has vertices, and the columns (creation number, end, start,
+    weight) in (end, start, creation number) order, the order
+    :func:`mwis_intervals` sorts into."""
+    cached = instance.__dict__.get("_intgraph_start")
+    if cached is not None:
+        return cached
+    vertices: List[_IgVertex] = []
+    numbers_of: Dict[str, range] = {}
+    for lid in sorted(instance.presences):
+        weight = instance.labels[lid].weight
+        first = len(vertices)
+        for presence in instance.presences_of(lid):
+            if presence.length > 0:
+                vertices.append(_IgVertex(lid, presence, presence.length * weight))
+        if len(vertices) > first:
+            numbers_of[lid] = range(first, len(vertices))
+    partners: Dict[str, list] = {}
+    for lid in numbers_of:
+        by_partner: Dict[str, list] = {}
+        for other_id, c in instance.conflicts_of(lid):
+            if other_id in numbers_of:
+                by_partner.setdefault(other_id, []).append(c)
+        partners[lid] = list(by_partner.items())
+    order = sorted(range(len(vertices)), key=lambda n: (vertices[n].interval.end, vertices[n].interval.start, n))
+    columns = [(n, vertices[n].interval.end, vertices[n].interval.start, vertices[n].weight) for n in order]
+    cached = instance.__dict__["_intgraph_start"] = (
+        tuple(vertices),
+        numbers_of,
+        partners,
+        tuple(zip(*columns)) or ((), (), (), ()),
+    )
+    return cached
+
+
 def solve_intgraph(
     instance: Instance,
     problem: Problem,
@@ -1178,36 +1227,68 @@ def solve_intgraph(
     chosen one, as the activity model allows, so that they no longer
     conflict with the chosen ones (see :func:`_shorten`).  Intervals that
     overlap a chosen one in time without a conflict stay.
+
+    The remaining vertices stay in (end, start, creation number) columns
+    between rounds.  A round removes its picks, and shortens only the
+    vertices whose open interior meets a block, a pick's overlap with a
+    conflict of its label: ``_shorten`` returns every other vertex as it
+    is.  A shortened vertex goes back in its place by bisection.
     """
     started = time.perf_counter()
-    vertices: List[_IgVertex] = []
-    for lid in sorted(instance.presences):
-        weight = instance.labels[lid].weight
-        for presence in instance.presences_of(lid):
-            if presence.length > 0:
-                vertices.append(_IgVertex(lid, presence, presence.length * weight))
+    first, numbers_of, partners, columns = _intgraph_start(instance)
+    vertices: List[Optional[_IgVertex]] = list(first)  # None once picked or dropped
+    numbers, ends, starts, weights = map(list, columns)
+
+    def tie_key(j: int) -> tuple:
+        return starts[j], numbers[j]
+
+    def position(n: int) -> int:
+        """Where remaining vertex n is, or belongs, in the columns."""
+        iv = vertices[n].interval
+        lo = bisect.bisect_left(ends, iv.end)
+        hi = bisect.bisect_right(ends, iv.end, lo)
+        return bisect.bisect_left(range(hi), (iv.start, n), lo, hi, key=tie_key)
 
     phi_raw: Dict[str, list] = {}  # label -> its chosen activities so far
     rounds = 0
-    while vertices:
+    while numbers:
         if problem.kind == "KRMT" and rounds >= problem.k:
             break
         rounds += 1
-        picked = set(mwis_intervals([(v.interval, v.weight) for v in vertices]))
+        picked = _mwis_sorted(ends, starts, weights)
         iteration_chosen: Dict[str, List[TimeInterval]] = {}
-        for i in picked:
-            v = vertices[i]
+        for j in picked:
+            v = vertices[numbers[j]]
+            vertices[numbers[j]] = None
             phi_raw.setdefault(v.label_id, []).append(v.interval)
             iteration_chosen.setdefault(v.label_id, []).append(v.interval)
-        # a vertex of any other label has nothing to avoid: it stays as it is
-        cut = {other for lid in iteration_chosen for other, _ in instance.conflicts_of(lid)}
+        blocked = set()
+        for lid, chosen in iteration_chosen.items():
+            for other_id, conflicts in partners[lid]:
+                rest = [n for n in numbers_of[other_id] if vertices[n] is not None]
+                if not rest:
+                    continue
+                blocks = [
+                    (max(iv.start, c.start), min(iv.end, c.end))
+                    for c in conflicts
+                    for iv in chosen
+                    if c.start < iv.end and c.end > iv.start
+                ]
+                for n in rest:
+                    a, b = vertices[n].interval.start, vertices[n].interval.end
+                    if any(hi > a and lo < b for lo, hi in blocks):
+                        blocked.add(n)
+        blocked = sorted(blocked)
+        for j in sorted(picked + [position(n) for n in blocked], reverse=True):
+            del ends[j], starts[j], weights[j], numbers[j]
+        for n in blocked:
+            v = vertices[n] = _shorten(instance, vertices[n], iteration_chosen, phi_raw, mode)
+            if v is not None:
+                j = position(n)
+                ends.insert(j, v.interval.end)
+                starts.insert(j, v.interval.start)
+                weights.insert(j, v.weight)
+                numbers.insert(j, n)
 
-        shortened = [
-            _shorten(instance, v, iteration_chosen, phi_raw, mode) if v.label_id in cut else v
-            for i, v in enumerate(vertices)
-            if i not in picked
-        ]
-        vertices = [v for v in shortened if v is not None]
-
-    phi = make_activity_set(phi_raw)
+    phi = make_activity_set({lid: phi_raw[lid] for lid in sorted(phi_raw)})
     return _result(instance, phi, Status.FEASIBLE, started)

@@ -333,13 +333,16 @@ def build_graph_reference(instance: Instance, mode: AmMode) -> ConflictGraph:
     start_at, end_at = np.array(columns[0]), np.array(columns[1])
     edge_count = sum(len(m) * (len(m) - 1) // 2 for m in clusters.values())
     blocks: Dict[Tuple[str, str], np.ndarray] = {}
-    for a, b in sorted({e.pair for e in instance.conflicts}):
+    by_pair: Dict[Tuple[str, str], list] = {}
+    for e in instance.conflicts:
+        by_pair.setdefault(e.pair, []).append(e.interval)
+    for a, b in sorted(by_pair):
         if a not in span or b not in span:
             continue
         sa, sb = span[a], span[b]
         lo = np.maximum.outer(start_at[sa], start_at[sb])
         hi = np.minimum.outer(end_at[sa], end_at[sb])
-        hits = [(c.start < hi) & (c.end > lo) for c in instance.conflicts_between(a, b)]
+        hits = [(c.start < hi) & (c.end > lo) for c in by_pair[a, b]]
         meets = reduce(np.logical_or, hits) & (lo < hi)
         count = int(np.count_nonzero(meets))
         edge_count += count
@@ -603,7 +606,8 @@ def pls_select_reference(
 
 def intgraph_reference(instance: Instance, problem, mode: AmMode):
     """IntGraph's activity set with every remaining vertex passed through
-    ``shorten_reference`` in every round, whatever labels the round picked."""
+    ``shorten_reference`` in every round, whatever labels the round picked.
+    Labels are in id order, so ``objective`` sums them in that order."""
     vertices = [
         _IgVertex(lid, presence, presence.length * instance.labels[lid].weight)
         for lid in sorted(instance.presences)
@@ -626,7 +630,7 @@ def intgraph_reference(instance: Instance, problem, mode: AmMode):
             if i not in picked
         ]
         vertices = [v for v in shortened if v is not None and v.interval.length > 0]
-    return make_activity_set(chosen)
+    return make_activity_set({lid: chosen[lid] for lid in sorted(chosen)})
 
 
 def _signal_intervals_reference(

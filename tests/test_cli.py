@@ -168,9 +168,11 @@ class TestSolve:
         ["solve", "{i1}", "--time-limit", "-1"],
         ["generate", "--demo", "--min-activity", "nan", "--out", "{dir}/out.json"],
         ["generate", "{dir}/nope.json", "--demo", "--out", "{dir}/out.json"],
+        ["generate", "--demo", "--seed", "7", "--out", "{dir}/out.json"],
+        ["generate", "{i1}", "--seed", "0", "--out", "{dir}/out.json"],
     ],
     ids=["k-0", "mode-x", "algo-magic", "limit-nan", "limit-inf", "limit-negative",
-         "min-activity-nan", "demo-with-path"],
+         "min-activity-nan", "demo-with-path", "demo-with-seed", "path-with-seed"],
 )
 def test_bad_flag_value_is_usage_error(i1_file, tmp_path, argv):
     argv = [a.format(i1=i1_file, dir=tmp_path) for a in argv]

@@ -1,13 +1,16 @@
 import json
 import math
 import random
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chronolabel import solvers
 from chronolabel.cli import apply_min_activity, main
 from chronolabel.conflict_graph import ConflictGraph, build_graph
 from chronolabel.model import (
@@ -19,6 +22,7 @@ from chronolabel.model import (
     dump_instance,
     dump_solution,
     load_instance,
+    load_solution,
     make_activity_set,
     objective,
 )
@@ -64,6 +68,9 @@ from oracle import (
     shorten_reference,
     slice_bound_reference,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 # First navigation-corpus instances cross-checked against the MILP oracle;
 # HiGHS needs about 12 s for their 36 GMT solves on a 2-CPU host.
@@ -757,9 +764,10 @@ class TestIntGraph:
         instance = random_instance(seed, **size)
         for mode in AmMode:
             for problem in (GMT, krmt(1), krmt(2)):
-                got = solve_intgraph(instance, problem, mode).phi
+                got = solve_intgraph(instance, problem, mode)
                 want = intgraph_reference(instance, problem, mode)
-                assert dump_solution(got) == dump_solution(want), (mode, problem)
+                assert dump_solution(got.phi) == dump_solution(want), (mode, problem)
+                assert got.objective == objective(instance, want), (mode, problem)
 
     @settings(max_examples=300, deadline=None)
     @given(case=shortening_cases())
@@ -770,17 +778,40 @@ class TestIntGraph:
             assert got == shorten_reference(instance, vertex, round_chosen, all_chosen, mode)
 
     def test_matches_all_vertex_reference(self):
-        # scenarios 0-59, raw and after the 1 s minimum activity, make 1080 solves
+        # scenarios 0-59, raw and after the 1 s minimum activity, make 1080
+        # solves; the benchmark's nav-heuristic corpora of seeds 0 and 91 add
+        # its own inputs
         instances = [random_instance(seed) for seed in range(50)]
         for seed in range(60):
             raw = extract_instance(synthesize_scenario(seed))
             instances += [raw, apply_min_activity(raw, 1.0)]
+        for seed in (0, 91):
+            instances += [i for _, i in workloads.nav_corpus(seed, workloads.HEURISTIC_PREFIX)]
         for instance in instances:
             for mode in AmMode:
                 for problem in (GMT, krmt(1), krmt(2)):
-                    got = solve_intgraph(instance, problem, mode).phi
+                    got = solve_intgraph(instance, problem, mode)
                     want = intgraph_reference(instance, problem, mode)
-                    assert dump_solution(got) == dump_solution(want), (mode, problem)
+                    assert dump_solution(got.phi) == dump_solution(want), (mode, problem)
+                    assert got.objective == objective(instance, want), (mode, problem)
+
+    def test_shortens_only_blocked_vertices(self, monkeypatch):
+        # A round shortens a vertex only if a block of the round meets its
+        # open interior, so no call hands the vertex back unchanged.
+        calls = []
+
+        def shorten(instance, vertex, iteration_chosen, all_chosen, mode):
+            got = _shorten(instance, vertex, iteration_chosen, all_chosen, mode)
+            calls.append(got is None or got.interval != vertex.interval)
+            return got
+
+        monkeypatch.setattr(solvers, "_shorten", shorten)
+        for seed in (0, 5, 21):
+            instance = nav_scenario(seed)
+            for mode in AmMode:
+                for problem in (GMT, krmt(2)):
+                    solve_intgraph(instance, problem, mode)
+        assert calls and all(calls), f"{calls.count(False)} of {len(calls)} calls kept the vertex"
 
 
 class TestMwisIntervals:
@@ -844,6 +875,23 @@ def test_exact_zero_and_unbounded_limits(i1, limit):
     result = solve_exact(i1, GMT, AmMode.AM3, time_limit=limit)
     assert result.status is (Status.FEASIBLE if limit == 0 else Status.OPTIMAL)
     assert check_model(i1, result.phi, AmMode.AM3).valid
+
+
+def test_reported_objective_is_emitted_objective():
+    # The objective a solve reports is, bit for bit, that of the solution it
+    # emits, read back as a solution file is.
+    for seed in range(10):
+        instance = extract_instance(synthesize_scenario(seed))
+        for mode in AmMode:
+            results = {
+                "greedy": solve_greedy(instance, GMT, mode),
+                "intgraph": solve_intgraph(instance, GMT, mode),
+                "pls": solve_pls(instance, GMT, mode, seed=seed, params=PlsParams(0.02)),
+                "exact": solve_exact(instance, GMT, mode, time_limit=NAV_TIME_LIMIT),
+            }
+            for algo, result in results.items():
+                emitted = load_solution(dump_solution(result.phi))
+                assert result.objective == objective(instance, emitted), (seed, mode, algo)
 
 
 def test_problem_validation():
