@@ -77,7 +77,8 @@ def apply_min_activity(instance: Instance, min_activity: float) -> Instance:
             presences[lid] = kept
 
     def covered(lid: str, iv) -> bool:
-        return any(p.start <= iv.start and iv.end <= p.end for p in presences.get(lid, ()))
+        # a conflict lies in one presence of each label; covered if it is kept
+        return instance.presence_containing(lid, iv).length >= min_activity
 
     return Instance(
         horizon=instance.horizon,

@@ -46,9 +46,10 @@ class ConflictGraph:
     ``neighbor_ids`` reads those rows; ``neighbors`` is the set of its list.
 
     ``build_graph`` keeps one graph per instance and model and hands it to
-    every solver, so the neighbour lists, cluster orders and intervals it
-    derives on request are shared too: no caller may change a column or what
-    ``interval``, ``neighbor_ids``, ``neighbors`` or ``by_weight`` return.
+    every solver, so the neighbour lists, orders and intervals it derives on
+    request are shared too: no caller may change a column or what
+    ``interval``, ``neighbor_ids``, ``neighbors``, ``by_weight``,
+    ``heaviest_first`` or ``slice_spans`` return.
     """
 
     def __init__(
@@ -74,6 +75,8 @@ class ConflictGraph:
         self._neighbors: List[Optional[Set[int]]] = [None] * len(self.starts)
         self._by_weight: List[Optional[List[int]]] = [None] * len(self.starts)
         self._intervals: List[Optional[TimeInterval]] = [None] * len(self.starts)  # on request
+        self._order: Optional[Tuple[List[int], List[int]]] = None
+        self._slices: Optional[Tuple[List[Tuple[int, int]], int]] = None
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -107,6 +110,26 @@ class ConflictGraph:
             order = sorted(mates, key=self.weights.__getitem__, reverse=True)
             self._by_weight[mates.start : mates.stop] = [order] * len(mates)
         return order
+
+    def heaviest_first(self) -> Tuple[List[int], List[int]]:
+        """All ids heaviest first (ties: smallest id), and each id's position
+        in that order; derived once."""
+        if self._order is None:
+            # a stable sort: equal weights keep ascending ids
+            order = sorted(range(len(self)), key=self.weights.__getitem__, reverse=True)
+            self._order = (order, sorted(range(len(order)), key=order.__getitem__))
+        return self._order
+
+    def slice_spans(self) -> Tuple[List[Tuple[int, int]], int]:
+        """Per candidate, the (first, stop) range of the elementary slices
+        between candidate endpoints that it covers, and the slice count;
+        derived once."""
+        if self._slices is None:
+            starts, ends = np.array(self.starts), np.array(self.ends)
+            points = _unique(np.concatenate([starts, ends]))
+            spans = zip(points.searchsorted(starts).tolist(), points.searchsorted(ends).tolist())
+            self._slices = (list(spans), len(points))
+        return self._slices
 
     def interval(self, v: int) -> TimeInterval:
         iv = self._intervals[v]

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 
 
 class ParseError(ValueError):
@@ -105,6 +106,7 @@ class Instance:
         for lid, label in self.labels.items():
             if lid != label.id:
                 raise IntegrityError(f"label key {lid!r} != label id {label.id!r}")
+        starts: dict = {}
         for lid, intervals in self.presences.items():
             if lid not in self.labels:
                 raise IntegrityError(f"presence references unknown label {lid!r}")
@@ -114,33 +116,63 @@ class Instance:
                         f"presence of {lid!r} [{iv.start},{iv.end}] outside [0,{self.horizon}]"
                     )
             _check_disjoint_sorted(intervals, f"presences of {lid!r}")
+            starts[lid] = [iv.start for iv in intervals]
+        # The indexes below are not fields, so equality and repr are those of
+        # the fields alone.
+        object.__setattr__(self, "_starts", starts)
         per_pair: dict = {}
         per_label: dict = {}
+        ending: dict = {}  # (label, t) -> the partners whose conflict with it ends at t
+        starting: dict = {}  # (label, t) -> those whose conflict starts at t
         for entry in self.conflicts:
             for lid in entry.pair:
                 if lid not in self.labels:
                     raise IntegrityError(f"conflict references unknown label {lid!r}")
+            a, b, iv = entry.a, entry.b, entry.interval
             for lid in entry.pair:
-                if not any(p.contains(entry.interval) for p in self.presences_of(lid)):
+                if self.presence_containing(lid, iv) is None:
                     raise IntegrityError(
-                        f"conflict ({entry.a},{entry.b}) [{entry.interval.start},"
-                        f"{entry.interval.end}] not inside a presence of {lid!r}"
+                        f"conflict ({a},{b}) [{iv.start},{iv.end}] not inside a presence of {lid!r}"
                     )
-            per_pair.setdefault(entry.pair, []).append(entry.interval)
-            per_label.setdefault(entry.a, []).append((entry.b, entry.interval))
-            per_label.setdefault(entry.b, []).append((entry.a, entry.interval))
+            per_pair.setdefault(entry.pair, []).append(iv)
+            for lid, other in ((a, b), (b, a)):
+                per_label.setdefault(lid, []).append((other, iv))
+                ending.setdefault((lid, iv.end), []).append(other)
+                starting.setdefault((lid, iv.start), []).append(other)
         for pair, ivs in per_pair.items():
             _check_disjoint_sorted(sorted(ivs), f"conflicts of pair {pair}")
-        # The conflict index, in ``conflicts`` order; not a field, so equality
-        # and repr are those of the fields alone.
         object.__setattr__(self, "_by_label", {k: tuple(v) for k, v in per_label.items()})
+        object.__setattr__(self, "_ending", {k: tuple(v) for k, v in ending.items()})
+        object.__setattr__(self, "_starting", {k: tuple(v) for k, v in starting.items()})
+        rows = tuple((e.a, e.b, e.interval.start, e.interval.end) for e in self.conflicts)
+        object.__setattr__(self, "_rows", rows)
 
     def presences_of(self, label_id: str) -> tuple:
         return self.presences.get(label_id, ())
 
+    def presence_containing(self, label_id: str, iv: TimeInterval) -> Optional[TimeInterval]:
+        """The label's presence interval that contains ``iv``, or None.
+
+        Presences are sorted and disjoint, so only the last one starting by
+        ``iv.start`` can; it is found by bisecting the kept presence starts.
+        """
+        presences = self.presences.get(label_id, ())
+        i = bisect_right(self._starts.get(label_id, ()), iv.start)
+        return presences[i - 1] if i and iv.end <= presences[i - 1].end else None
+
     def conflicts_of(self, label_id: str) -> tuple:
         """(other label id, interval) pairs for all conflicts involving the label."""
         return self._by_label.get(label_id, ())
+
+    def witness_partners(self, label_id: str, start: float, end: float) -> tuple:
+        """(the labels whose conflict with ``label_id`` ends at ``start``,
+        those whose conflict with it starts at ``end``), each in
+        ``conflicts_of`` order: the witness labels of an activity [start, end]."""
+        return self._ending.get((label_id, start), ()), self._starting.get((label_id, end), ())
+
+    def conflict_rows(self) -> tuple:
+        """(a, b, start, end) per conflict, in ``conflicts`` order."""
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -280,23 +312,25 @@ def load_instance(source: Source) -> Instance:
 
 
 def dump_instance(instance: Instance) -> str:
-    doc = {
-        "horizon": instance.horizon,
-        "labels": [
-            {"id": l.id, "weight": l.weight, "name": l.display_name}
-            for l in sorted(instance.labels.values(), key=lambda l: l.id)
-        ],
-        "presences": [
-            {"label": lid, "start": iv.start, "end": iv.end}
-            for lid in sorted(instance.presences)
-            for iv in instance.presences[lid]
-        ],
-        "conflicts": [
-            {"a": e.a, "b": e.b, "start": e.interval.start, "end": e.interval.end}
-            for e in instance.conflicts
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    """The bytes of ``json.dumps(doc, indent=2)`` for the instance's document
+    (horizon, then labels, presences and conflicts), written as
+    :func:`dump_solution` writes its own."""
+    text, number = encode_basestring_ascii, _json_number
+    labels = [
+        f'    {{\n      "id": {text(l.id)},\n      "weight": {number(l.weight)},\n'
+        f'      "name": {text(l.display_name)}\n    }}'
+        for l in sorted(instance.labels.values(), key=lambda l: l.id)
+    ]
+    conflicts = [
+        f'    {{\n      "a": {text(a)},\n      "b": {text(b)},\n'
+        f'      "start": {number(start)},\n      "end": {number(end)}\n    }}'
+        for a, b, start, end in instance.conflict_rows()
+    ]
+    return (
+        f'{{\n  "horizon": {number(instance.horizon)},\n  "labels": {_listed(labels)},\n'
+        f'  "presences": {_listed(_interval_rows(instance.presences))},\n'
+        f'  "conflicts": {_listed(conflicts)}\n}}'
+    )
 
 
 def load_solution(source: Source) -> ActivitySet:
@@ -316,16 +350,25 @@ def _json_number(x) -> str:
     return float.__repr__(x) if isinstance(x, float) and math.isfinite(x) else json.dumps(x)
 
 
-def dump_solution(phi: ActivitySet) -> str:
-    """The bytes of ``json.dumps({"activities": [...]}, indent=2)``."""
+def _interval_rows(by_label: Mapping[str, tuple]) -> list:
+    """The indented {"label", "start", "end"} objects of a label -> intervals
+    mapping, labels in sorted order."""
     rows = []
-    for lid in sorted(phi.activities):
+    for lid in sorted(by_label):
         label = encode_basestring_ascii(lid)
-        for iv in phi.activities[lid]:
+        for iv in by_label[lid]:
             rows.append(
                 f'    {{\n      "label": {label},\n'
                 f'      "start": {_json_number(iv.start)},\n      "end": {_json_number(iv.end)}\n    }}'
             )
-    if not rows:
-        return '{\n  "activities": []\n}'
-    return '{\n  "activities": [\n' + ",\n".join(rows) + "\n  ]\n}"
+    return rows
+
+
+def _listed(rows: list) -> str:
+    """A list of indented objects at depth one, as json.dumps writes it."""
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
+def dump_solution(phi: ActivitySet) -> str:
+    """The bytes of ``json.dumps({"activities": [...]}, indent=2)``."""
+    return '{\n  "activities": ' + _listed(_interval_rows(phi.activities)) + "\n}"

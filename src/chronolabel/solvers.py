@@ -34,8 +34,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .conflict_graph import ConflictGraph, SizeLimitExceeded, build_graph
 from .model import ActivitySet, Instance, TimeInterval, make_activity_set, objective
 from .validation import AmMode, Saturation, endpoints_justified
@@ -236,7 +234,7 @@ def _witness_requirements(
         for v in alive:
             by_label.setdefault(graph.label_ids[v], []).append(v)
 
-        def witnesses(v: int, partners: List[str], t: float) -> frozenset:
+        def witnesses(v: int, partners: Sequence[str], t: float) -> frozenset:
             # a witness must cover the endpoint AND be co-selectable with v
             adj_v = graph.neighbors(v)
             return frozenset(
@@ -250,13 +248,13 @@ def _witness_requirements(
         dead = []
         for v in alive:
             presence = _presence(instance, graph, v)
-            conflicts = instance.conflicts_of(graph.label_ids[v])
-            start, end = graph.starts[v], graph.ends[v]
+            lid, start, end = graph.label_ids[v], graph.starts[v], graph.ends[v]
+            ending, starting = instance.witness_partners(lid, start, end)
             inner = []  # (endpoint, partners whose conflict ends or starts there)
             if start != presence.start:
-                inner.append((start, [other for other, iv in conflicts if iv.end == start]))
+                inner.append((start, ending))
             if end != presence.end:
-                inner.append((end, [other for other, iv in conflicts if iv.start == end]))
+                inner.append((end, starting))
             reqs = [(t, witnesses(v, partners, t)) for t, partners in inner]
             if all(wit for _, wit in reqs):
                 requirements[v] = reqs
@@ -866,23 +864,26 @@ def solve_exact(
 
 def _greedy_selection(graph: ConflictGraph, k: Optional[int], within: Optional[set] = None) -> set:
     """Heaviest candidates first (ties: smallest id), each taken unless an
-    earlier pick blocks it or, with ``k``, it would exceed k open at once."""
+    earlier pick blocks it or, with ``k``, it would exceed k open at once.
+
+    The order is the graph's kept one (:meth:`ConflictGraph.heaviest_first`);
+    a part ``within`` is sorted by its rank there."""
     blocked = bytearray(len(graph))
+    order, rank = graph.heaviest_first()
+    if within is not None:
+        order = sorted(within, key=rank.__getitem__)
     if k is not None:
-        # open picks per elementary slice between candidate endpoints
-        points, slices = np.unique([graph.starts, graph.ends], return_inverse=True)
-        slices, counts = slices.reshape(2, -1).T.tolist(), np.zeros(len(points), dtype=int)
-    pool = np.arange(len(graph)) if within is None else np.fromiter(within, dtype=np.intp)
-    weights = np.array(graph.weights if within is None else [graph.weights[v] for v in within])
+        slices, count = graph.slice_spans()
+        counts = [0] * count  # open picks per elementary slice
     selected: set = set()
-    for v in pool[np.lexsort((pool, -weights))].tolist():
+    for v in order:
         if blocked[v]:
             continue
         if k is not None:
             lo, hi = slices[v]
-            if counts[lo:hi].max() >= k:
+            if max(counts[lo:hi]) >= k:
                 continue
-            counts[lo:hi] += 1
+            counts[lo:hi] = [c + 1 for c in counts[lo:hi]]
         selected.add(v)
         for u in graph.neighbor_ids(v):
             blocked[u] = 1
@@ -1044,6 +1045,8 @@ def solve_pls(
             if state.weight > best_weight:
                 best_weight = state.weight
                 best = set(state.selected)
+        else:
+            break  # the budget ran out: the rest of the iteration cannot change best
         # penalize the vertices held at the end of the iteration
         for v in state.selected:
             penalties[v] += 1
@@ -1180,10 +1183,10 @@ def _shorten(
 def _intgraph_start(instance: Instance) -> tuple:
     """IntGraph's first-round vertices, kept on the instance (it is
     immutable) for its later solves: the vertices by creation number, each
-    label's creation numbers, each label's conflicts grouped by a partner
-    label that has vertices, and the columns (creation number, end, start,
-    weight) in (end, start, creation number) order, the order
-    :func:`mwis_intervals` sorts into."""
+    label's creation numbers, each label's conflicts as (start, end) pairs
+    grouped by a partner label that has vertices, and the columns (key,
+    end, start, weight) in key order, a vertex's key being (end, start,
+    creation number): the order :func:`mwis_intervals` sorts into."""
     cached = instance.__dict__.get("_intgraph_start")
     if cached is not None:
         return cached
@@ -1202,15 +1205,14 @@ def _intgraph_start(instance: Instance) -> tuple:
         by_partner: Dict[str, list] = {}
         for other_id, c in instance.conflicts_of(lid):
             if other_id in numbers_of:
-                by_partner.setdefault(other_id, []).append(c)
+                by_partner.setdefault(other_id, []).append((c.start, c.end))
         partners[lid] = list(by_partner.items())
-    order = sorted(range(len(vertices)), key=lambda n: (vertices[n].interval.end, vertices[n].interval.start, n))
-    columns = [(n, vertices[n].interval.end, vertices[n].interval.start, vertices[n].weight) for n in order]
+    keys = sorted((v.interval.end, v.interval.start, n) for n, v in enumerate(vertices))
     cached = instance.__dict__["_intgraph_start"] = (
         tuple(vertices),
         numbers_of,
         partners,
-        tuple(zip(*columns)) or ((), (), (), ()),
+        (keys, [key[0] for key in keys], [key[1] for key in keys], [vertices[key[2]].weight for key in keys]),
     )
     return cached
 
@@ -1228,67 +1230,69 @@ def solve_intgraph(
     conflict with the chosen ones (see :func:`_shorten`).  Intervals that
     overlap a chosen one in time without a conflict stay.
 
-    The remaining vertices stay in (end, start, creation number) columns
-    between rounds.  A round removes its picks, and shortens only the
-    vertices whose open interior meets a block, a pick's overlap with a
-    conflict of its label: ``_shorten`` returns every other vertex as it
-    is.  A shortened vertex goes back in its place by bisection.
+    The remaining vertices stay in columns ordered by their (end, start,
+    creation number) keys between rounds.  A round removes its picks, and
+    shortens only the vertices whose open interior meets a block, a pick's
+    overlap with a conflict of its label: ``_shorten`` returns every other
+    vertex as it is.  A shortened vertex goes back in its place by bisecting
+    the key column.
     """
     started = time.perf_counter()
     first, numbers_of, partners, columns = _intgraph_start(instance)
     vertices: List[Optional[_IgVertex]] = list(first)  # None once picked or dropped
-    numbers, ends, starts, weights = map(list, columns)
-
-    def tie_key(j: int) -> tuple:
-        return starts[j], numbers[j]
+    keys, ends, starts, weights = map(list, columns)
 
     def position(n: int) -> int:
         """Where remaining vertex n is, or belongs, in the columns."""
         iv = vertices[n].interval
-        lo = bisect.bisect_left(ends, iv.end)
-        hi = bisect.bisect_right(ends, iv.end, lo)
-        return bisect.bisect_left(range(hi), (iv.start, n), lo, hi, key=tie_key)
+        return bisect.bisect_left(keys, (iv.end, iv.start, n))
 
     phi_raw: Dict[str, list] = {}  # label -> its chosen activities so far
     rounds = 0
-    while numbers:
+    while keys:
         if problem.kind == "KRMT" and rounds >= problem.k:
             break
         rounds += 1
         picked = _mwis_sorted(ends, starts, weights)
         iteration_chosen: Dict[str, List[TimeInterval]] = {}
         for j in picked:
-            v = vertices[numbers[j]]
-            vertices[numbers[j]] = None
+            n = keys[j][2]
+            v, vertices[n] = vertices[n], None
             phi_raw.setdefault(v.label_id, []).append(v.interval)
             iteration_chosen.setdefault(v.label_id, []).append(v.interval)
         blocked = set()
         for lid, chosen in iteration_chosen.items():
             for other_id, conflicts in partners[lid]:
-                rest = [n for n in numbers_of[other_id] if vertices[n] is not None]
-                if not rest:
-                    continue
-                blocks = [
-                    (max(iv.start, c.start), min(iv.end, c.end))
-                    for c in conflicts
-                    for iv in chosen
-                    if c.start < iv.end and c.end > iv.start
-                ]
-                for n in rest:
-                    a, b = vertices[n].interval.start, vertices[n].interval.end
-                    if any(hi > a and lo < b for lo, hi in blocks):
-                        blocked.add(n)
+                blocks = None  # built at the partner's first remaining vertex
+                for n in numbers_of[other_id]:
+                    v = vertices[n]
+                    if v is None:
+                        continue
+                    if blocks is None:
+                        blocks = [
+                            (max(iv.start, cs), min(iv.end, ce))
+                            for cs, ce in conflicts
+                            for iv in chosen
+                            if cs < iv.end and ce > iv.start
+                        ]
+                        if not blocks:
+                            break
+                    a, b = v.interval.start, v.interval.end
+                    for lo, hi in blocks:
+                        if hi > a and lo < b:
+                            blocked.add(n)
+                            break
         blocked = sorted(blocked)
         for j in sorted(picked + [position(n) for n in blocked], reverse=True):
-            del ends[j], starts[j], weights[j], numbers[j]
+            del keys[j], ends[j], starts[j], weights[j]
         for n in blocked:
             v = vertices[n] = _shorten(instance, vertices[n], iteration_chosen, phi_raw, mode)
             if v is not None:
                 j = position(n)
+                keys.insert(j, (v.interval.end, v.interval.start, n))
                 ends.insert(j, v.interval.end)
                 starts.insert(j, v.interval.start)
                 weights.insert(j, v.weight)
-                numbers.insert(j, n)
 
     phi = make_activity_set({lid: phi_raw[lid] for lid in sorted(phi_raw)})
     return _result(instance, phi, Status.FEASIBLE, started)

@@ -9,16 +9,12 @@ heuristic independent sets model-conformant.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import json
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
 from .model import ActivitySet, Instance, IntegrityError, TimeInterval
-
-_START = attrgetter("start")
 
 
 class AmMode(enum.Enum):
@@ -52,55 +48,51 @@ class ValidationReport:
         )
 
 
-def _presence_containing(instance: Instance, label_id: str, iv: TimeInterval):
-    # presences are sorted and disjoint: only the last one starting by iv can hold it
-    presences = instance.presences_of(label_id)
-    i = bisect.bisect_right(presences, iv.start, key=_START)
-    return presences[i - 1] if i and iv.end <= presences[i - 1].end else None
-
-
 def _located(instance: Instance, phi: ActivitySet) -> list:
     """(label id, activity, its presence or None) per activity, in ``phi``
     order: each check looks every presence up once."""
     for lid in phi.activities:
         if lid not in instance.labels:
             raise IntegrityError(f"activity references unknown label {lid!r}")
-    return [(lid, iv, _presence_containing(instance, lid, iv)) for lid, ivs in phi.items() for iv in ivs]
+    containing = instance.presence_containing
+    return [(lid, iv, containing(lid, iv)) for lid, ivs in phi.items() for iv in ivs]
 
 
 def _base_violations(instance: Instance, phi: ActivitySet, located: list) -> list:
     violations = []
     # R1: every activity interval lies inside a presence interval of its label.
-    # R2: at most one activity interval per presence interval.
-    per_presence_count: dict = {}
+    # R2: at most one activity interval per presence interval.  A label's
+    # activities are sorted and disjoint, so those sharing a presence are
+    # adjacent in ``located``.
+    shared = []  # (label, presence) per presence holding several activities
+    held = (None, None)  # (label, presence) of the previous activity
     for lid, iv, p in located:
         if p is None:
             violations.append(Violation("R1", (lid,), (iv.start, iv.end)))
-        else:
-            key = (lid, p.start, p.end)
-            per_presence_count[key] = per_presence_count.get(key, 0) + 1
-    for (lid, ps, pe), count in per_presence_count.items():
-        if count > 1:
-            violations.append(Violation("R2", (lid,), (ps, pe)))
+        elif p is held[1] and lid == held[0]:
+            if not shared or shared[-1] is not held:
+                shared.append(held)
+            continue
+        held = (lid, p)
+    violations += [Violation("R2", (lid,), (p.start, p.end)) for lid, p in shared]
 
     # R3: no two activity intervals are in conflict: the closed conflict
     # interval [cs, ce] meets the open overlap of the two activities, that
     # is, each activity's open interval is nonempty and meets [cs, ce], and
     # the two open intervals meet.
     activities = phi.activities
-    for entry in instance.conflicts:
-        ivs_a = activities.get(entry.a)
-        ivs_b = ivs_a and activities.get(entry.b)
+    for label_a, label_b, cs, ce in instance.conflict_rows():
+        ivs_a = activities.get(label_a)
+        ivs_b = ivs_a and activities.get(label_b)
         if not ivs_b:
             continue
-        cs, ce = entry.interval.start, entry.interval.end
         for a in ivs_a:
             if not (cs < a.end and a.start < ce and a.start < a.end):
                 continue
             for b in ivs_b:
                 if cs < b.end and b.start < ce and b.start < b.end and a.start < b.end and b.start < a.end:
                     detail = (max(a.start, b.start, cs), min(a.end, b.end, ce))
-                    violations.append(Violation("R3", (entry.a, entry.b), detail))
+                    violations.append(Violation("R3", (label_a, label_b), detail))
     return violations
 
 
@@ -125,23 +117,15 @@ def endpoints_justified(
     The start is justified if the label enters the viewport there, or a
     conflict with an active witness ends exactly there; the end symmetric.
     Boundary coincidence counts: an activity [x, t] makes its label a valid
-    witness at t (closed-interval convention).
+    witness at t (closed-interval convention).  The witness labels are
+    read from ``Instance.witness_partners``.
     """
 
-    def active_at(other: str, t: float) -> bool:
-        return any(s <= t <= e for s, e in spans_of(other))
+    def witnessed(partners: tuple, t: float) -> bool:
+        return any(s <= t <= e for other in partners for s, e in spans_of(other))
 
-    start_ok = start == presence.start
-    end_ok = end == presence.end
-    if not (start_ok and end_ok):
-        for other, conflict in instance.conflicts_of(label_id):
-            if not start_ok and conflict.end == start and active_at(other, start):
-                start_ok = True
-            if not end_ok and conflict.start == end and active_at(other, end):
-                end_ok = True
-            if start_ok and end_ok:
-                break
-    return (start_ok, end_ok)
+    ending, starting = instance.witness_partners(label_id, start, end)
+    return (start == presence.start or witnessed(ending, start), end == presence.end or witnessed(starting, end))
 
 
 def is_justified(
@@ -151,7 +135,7 @@ def is_justified(
     :func:`endpoints_justified`."""
     if interval not in phi.activities.get(label_id, ()):
         raise IntegrityError(f"interval [{interval.start},{interval.end}] not an activity of {label_id!r}")
-    presence = _presence_containing(instance, label_id, interval)
+    presence = instance.presence_containing(label_id, interval)
     if presence is None:
         raise IntegrityError(
             f"activity [{interval.start},{interval.end}] of {label_id!r} lies in no presence interval"

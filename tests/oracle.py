@@ -108,11 +108,12 @@ def _open_at_once(intervals) -> int:
     )
 
 
-def greedy_reference(graph, k: Optional[int] = None) -> set:
-    """Repeated heaviest pick (ties: smallest id) over ``neighbors()``: each
-    pick drops its neighbours and, with ``k``, every candidate that would
-    then make more than ``k`` picks open at once."""
-    alive = set(range(len(graph)))
+def greedy_reference(graph, k: Optional[int] = None, within=None) -> set:
+    """Repeated heaviest pick (ties: smallest id) over ``neighbors()`` among
+    the candidates ``within`` (default all): each pick drops its neighbours
+    and, with ``k``, every candidate that would then make more than ``k``
+    picks open at once."""
+    alive = set(range(len(graph)) if within is None else within)
     selected: set = set()
     while alive:
         pick = min(alive, key=lambda v: (-graph.weights[v], v))

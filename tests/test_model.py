@@ -22,6 +22,8 @@ from chronolabel.model import (
     objective,
 )
 
+from chronolabel.scenario import extract_instance, synthesize_scenario
+
 from conftest import navigation_corpus, random_instance
 
 I1_JSON = json.dumps(
@@ -222,6 +224,56 @@ def test_conflict_index_matches_scan():
             got = instance.conflicts_of(lid)
             assert isinstance(got, tuple)
             assert list(got) == scan, lid
+
+
+def test_witness_partners_match_scan():
+    # The witness maps answer as a scan over ``conflicts_of`` does, in its
+    # order, at every conflict endpoint and at a time that is none.
+    instances = [extract_instance(synthesize_scenario(seed)) for seed in range(20)]
+    instances += [random_instance(seed) for seed in range(200)]
+    for instance in instances:
+        times = {t for e in instance.conflicts for t in (e.interval.start, e.interval.end)}
+        times.add(instance.horizon + 1.0)
+        for lid in sorted(instance.labels) + ["unknown"]:
+            conflicts = instance.conflicts_of(lid)
+            for start in times:
+                for end in (start, instance.horizon + 1.0):
+                    want = (
+                        tuple(other for other, iv in conflicts if iv.end == start),
+                        tuple(other for other, iv in conflicts if iv.start == end),
+                    )
+                    assert instance.witness_partners(lid, start, end) == want, (lid, start, end)
+
+
+def _json_dumps_instance(instance) -> str:
+    doc = {
+        "horizon": instance.horizon,
+        "labels": [
+            {"id": l.id, "weight": l.weight, "name": l.display_name}
+            for l in sorted(instance.labels.values(), key=lambda l: l.id)
+        ],
+        "presences": [
+            {"label": lid, "start": iv.start, "end": iv.end}
+            for lid in sorted(instance.presences)
+            for iv in instance.presences[lid]
+        ],
+        "conflicts": [
+            {"a": e.a, "b": e.b, "start": e.interval.start, "end": e.interval.end}
+            for e in instance.conflicts
+        ],
+    }
+    return json.dumps(doc, indent=2)
+
+
+def test_dump_instance_bytes_match_json_dumps():
+    instances = [extract_instance(synthesize_scenario(seed)) for seed in range(60)]
+    labels = {"é": Label("é", 2.5, "Café ☃ \"quoted\""), "b": Label("b", 1, "")}
+    instances.append(  # non-ASCII ids and names, an integer weight, no conflicts
+        Instance(10, labels, {"é": (TimeInterval(0.0, 4.0),), "b": (TimeInterval(1, 2),)}, ())
+    )
+    instances.append(Instance(5.0, {}, {}, ()))
+    for instance in instances:
+        assert dump_instance(instance) == _json_dumps_instance(instance)
 
 
 _TIMES = st.one_of(

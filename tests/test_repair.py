@@ -3,6 +3,8 @@
 
 import functools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +13,18 @@ from chronolabel.cli import apply_min_activity
 from chronolabel.conflict_graph import ConflictGraph, build_graph
 from chronolabel.model import TimeInterval, make_activity_set, objective
 from chronolabel.scenario import extract_instance, synthesize_scenario
-from chronolabel.solvers import GMT, _greedy_selection, repair_selection, solve_pls
-from chronolabel.validation import AmMode, Saturation, check_model
+from chronolabel.solvers import GMT, _greedy_selection, krmt, repair_selection, solve_intgraph, solve_pls
+from chronolabel.validation import AmMode, Saturation, check_model, is_justified
 
-from oracle import _activity_set_reference, check_model_reference, repair_reference
+from oracle import (
+    _activity_set_reference,
+    check_model_reference,
+    is_justified_reference,
+    repair_reference,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 SCENARIOS = range(40)  # scenario 21, the largest AM3 graph of the first 600, among them
 
@@ -70,6 +80,32 @@ def test_check_model_matches_reference_on_selections():
         assert check_model(instance, graph.to_activity_set(repaired), mode).valid
 
 
+@pytest.mark.parametrize("seed", [0, 91])
+def test_checks_match_reference_on_heuristic_corpus(seed):
+    # perfbench's nav-heuristic corpus: the greedy and IntGraph outputs, the
+    # unrepaired greedy selections and random maximal independent sets
+    for unit, (_, instance) in enumerate(workloads.nav_corpus(seed, workloads.HEURISTIC_PREFIX)):
+        phis = []
+        for mode in AmMode:
+            graph = build_graph(instance, mode)
+            for problem in (GMT, krmt(2)):
+                phis.append(solve_intgraph(instance, problem, mode).phi)
+            selection = _greedy_selection(graph, None)
+            phis.append(graph.to_activity_set(selection))
+            phis.append(graph.to_activity_set(repair_selection(instance, graph, selection)))
+            phis.append(graph.to_activity_set(random_maximal(graph, unit + mode.value)))
+        for phi in phis:
+            for mode in AmMode:
+                for k in (None, 1, 2):
+                    got = check_model(instance, phi, mode, k=k)
+                    want = check_model_reference(instance, phi, mode, k=k)
+                    assert got.to_json() == want.to_json(), (seed, unit, mode, k)
+            for lid, ivs in phi.items():
+                for iv in ivs:
+                    got = is_justified(instance, phi, lid, iv)
+                    assert got == is_justified_reference(instance, phi, lid, iv), (seed, unit, lid, iv)
+
+
 def broken_sets(instance):
     """(rule, activity set, k, min_duration) cases, each meant to break ``rule``."""
     full = {lid: list(ivs) for lid, ivs in instance.presences.items()}
@@ -92,6 +128,14 @@ def broken_sets(instance):
         ("AM-end", [TimeInterval(p.start, p.end - 0.37 * third)]),
     ):
         yield rule, {**alone, lid: ivs}, None, 0.0
+    # three activities in the first presence of every label, one of them
+    # outside it when the label has a second presence
+    many = {}
+    for other, (p, *later) in instance.presences.items():
+        step = p.length / 3
+        many[other] = [TimeInterval(p.start + i * step, p.start + (i + 0.5) * step) for i in range(3)]
+        many[other] += [TimeInterval(p.end, later[0].start)] if later else []
+    yield "R2", many, None, 0.0
     # a zero-length activity inside a conflict with a shown label is no R3
     other, conflict = instance.conflicts_of(lid)[0]
     point = [TimeInterval(conflict.start, conflict.start)]

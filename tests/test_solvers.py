@@ -6,6 +6,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,7 @@ from chronolabel.solvers import (
     _k_sweep,
     _label_groups,
     _pls_select,
+    _presence,
     _shorten,
     _slice_bound,
     _solve_group,
@@ -510,11 +512,25 @@ class TestGreedy:
 
 
     def test_one_pass_matches_repeated_heaviest_pick(self):
-        graphs = [build_graph(random_instance(seed), mode) for seed in range(50) for mode in AmMode]
-        graphs += [build_graph(instance, AmMode.AM1) for _, instance in navigation_corpus(3)]
-        for graph in graphs:
-            for k in (None, 1, 2):
-                assert _greedy_selection(graph, k) == greedy_reference(graph, k)
+        instances = [random_instance(seed) for seed in range(50)]
+        instances += [instance for _, instance in navigation_corpus(3)]
+        for instance in instances:
+            for mode in AmMode:
+                graph = build_graph(instance, mode)
+                for k in (None, 1, 2):
+                    assert _greedy_selection(graph, k) == greedy_reference(graph, k)
+                # the parts exact search starts from: the model stages and
+                # the label groups within them
+                presences = [_presence(instance, graph, v) for v in range(len(graph))]
+                stages = [
+                    {v for v, p in enumerate(presences) if graph.interval(v) == p},
+                    {v for v, p in enumerate(presences) if graph.starts[v] == p.start},
+                ]
+                parts = stages + [group & stage for group in _label_groups(instance, graph) for stage in stages]
+                for part in parts:
+                    for k in (None, 2):
+                        got = _greedy_selection(graph, k, within=part)
+                        assert got == greedy_reference(graph, k, within=part)
 
 
     @settings(max_examples=60, deadline=None)
@@ -971,6 +987,11 @@ class TestSharedGraph:
             for mode, graph in graphs.items():
                 assert build_graph(instance, mode) is graph
                 assert graph_snapshot(graph) == before[mode]
+                # the kept heaviest-first order is still a fresh sort's
+                ids = np.arange(len(graph))
+                order, rank = graph.heaviest_first()
+                assert order == ids[np.lexsort((ids, -np.array(graph.weights)))].tolist()
+                assert [order[i] for i in rank] == ids.tolist()
 
     def test_one_build_per_model(self, monkeypatch):
         from chronolabel import conflict_graph

@@ -10,7 +10,6 @@ from chronolabel.model import IntegrityError, TimeInterval, make_activity_set, o
 from chronolabel.validation import (
     AmMode,
     _k_bound_violations,
-    _presence_containing,
     check_model,
     check_valid,
     is_justified,
@@ -295,6 +294,6 @@ def test_presence_lookup_matches_linear_scan(seed, data):
         start = data.draw(st.sampled_from(points))
         end = data.draw(st.sampled_from([p for p in points if p >= start]))
         iv = TimeInterval(start, end)
-        assert _presence_containing(instance, lid, iv) is presence_containing_reference(
+        assert instance.presence_containing(lid, iv) is presence_containing_reference(
             instance, lid, iv
         )
