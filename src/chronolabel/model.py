@@ -51,8 +51,8 @@ class Label:
     display_name: str = ""
 
     def __post_init__(self) -> None:
-        if not self.weight > 0:
-            raise IntegrityError(f"label {self.id!r}: weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise IntegrityError(f"label {self.id!r}: weight must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,7 @@ class Instance:
             if lid != label.id:
                 raise IntegrityError(f"label key {lid!r} != label id {label.id!r}")
         starts: dict = {}
+        total = 0.0  # weight times presence time, over all labels
         for lid, intervals in self.presences.items():
             if lid not in self.labels:
                 raise IntegrityError(f"presence references unknown label {lid!r}")
@@ -117,6 +118,10 @@ class Instance:
                     )
             _check_disjoint_sorted(intervals, f"presences of {lid!r}")
             starts[lid] = [iv.start for iv in intervals]
+            total += self.labels[lid].weight * sum(iv.length for iv in intervals)
+        # the total bounds every candidate weight, objective and bound
+        if not math.isfinite(total):
+            raise IntegrityError("weight times presence time overflows the float range")
         # The indexes below are not fields, so equality and repr are those of
         # the fields alone.
         object.__setattr__(self, "_starts", starts)

@@ -1116,51 +1116,30 @@ def mwis_intervals(items: Sequence[Tuple[TimeInterval, float]]) -> List[int]:
 # IntGraph
 
 
-@dataclass
-class _IgVertex:
-    label_id: str
-    interval: TimeInterval
-    weight: float  # interval length times the label weight
-
-
 def _shorten(
-    instance: Instance,
-    vertex: _IgVertex,
-    iteration_chosen: Dict[str, List[TimeInterval]],
-    all_chosen: Dict[str, List[TimeInterval]],
+    a: float,
+    b: float,
+    blocks: Sequence[Tuple[float, float]],
+    starts: Sequence[float],
+    ends: Sequence[float],
     mode: AmMode,
-) -> Optional[_IgVertex]:
-    """Shorten a neighbor's interval so it no longer conflicts with the
-    chosen activities, keeping its endpoints justified.
+) -> Optional[Tuple[float, float]]:
+    """Cut a vertex [a, b] whose open interior meets some of ``blocks``, the
+    (lo, hi) windows it must avoid, keeping its endpoints justified.
 
-    Returns the longest [s, t] inside the vertex whose open interior meets
-    no block (a conflict's overlap with an ``iteration_chosen`` activity),
-    ties to the earliest s, or None.  s is the vertex start or, under AM3, a
-    conflict end inside an ``all_chosen`` activity of the other label; t is
-    the vertex end or, under AM2 and AM3, such a conflict start.  Under AM1
-    any block meeting the vertex drops it.
+    Returns the longest [s, t] inside [a, b] whose open interior meets no
+    block, ties to the earliest s, or None.  s is a or one of ``starts``, t
+    is b or one of ``ends`` inside (a, b).  Under AM1 the vertex is dropped.
     """
-    a, b = vertex.interval.start, vertex.interval.end
-    conflicts = instance.conflicts_of(vertex.label_id)
-    # (time, kind) with kinds 0 an end, 1 a block opens, 2 it closes, 3 a
-    # start: at equal times an end still reaches the start before a block
-    events = []
-    for other_id, c in conflicts:
-        for iv in iteration_chosen.get(other_id, ()):
-            lo, hi = max(iv.start, c.start), min(iv.end, c.end)
-            if c.start < iv.end and c.end > iv.start and hi > a and lo < b:
-                events += ((lo, 1), (hi, 2))
-    if not events:
-        return vertex
     if mode is AmMode.AM1:
         return None
-    events += ((a, 3), (b, 0))
-    for other_id, c in conflicts:
-        for iv in all_chosen.get(other_id, ()):
-            if a < c.start < b and iv.start <= c.start <= iv.end:
-                events.append((c.start, 0))
-            if mode is AmMode.AM3 and a < c.end < b and iv.start <= c.end <= iv.end:
-                events.append((c.end, 3))
+    # (time, kind) with kinds 0 an end, 1 a block opens, 2 it closes, 3 a
+    # start: at equal times an end still reaches the start before a block
+    events = [(a, 3), (b, 0)]
+    for lo, hi in blocks:
+        events += ((lo, 1), (hi, 2))
+    events += [(x, 0) for x in ends if a < x < b]
+    events += [(x, 3) for x in starts if a < x < b]
     events.sort()
     spans = []  # (length, -s, t): the earliest start since the last block, per end
     s, depth = None, 0
@@ -1175,31 +1154,31 @@ def _shorten(
             s = x
     if not spans:
         return None
-    length, s, t = max(spans)  # ties: the earliest start, then the latest end
-    weight = length * instance.labels[vertex.label_id].weight
-    return _IgVertex(vertex.label_id, TimeInterval(-s, t), weight)
+    _, s, t = max(spans)  # ties: the earliest start, then the latest end
+    return -s, t
 
 
 def _intgraph_start(instance: Instance) -> tuple:
     """IntGraph's first-round vertices, kept on the instance (it is
-    immutable) for its later solves: the vertices by creation number, each
-    label's creation numbers, each label's conflicts as (start, end) pairs
-    grouped by a partner label that has vertices, and the columns (key,
-    end, start, weight) in key order, a vertex's key being (end, start,
-    creation number): the order :func:`mwis_intervals` sorts into."""
+    immutable) for its later solves: each vertex's label and (start, end) by
+    vertex number, each label's vertex numbers, each label's conflicts as
+    (start, end) pairs grouped by a partner label that has vertices, and the
+    columns (key, end, start, weight) in key order, a vertex's key being
+    (end, start, number): the order :func:`mwis_intervals` sorts into."""
     cached = instance.__dict__.get("_intgraph_start")
     if cached is not None:
         return cached
-    vertices: List[_IgVertex] = []
+    label_of: List[str] = []
+    spans: List[Tuple[float, float]] = []
     numbers_of: Dict[str, range] = {}
     for lid in sorted(instance.presences):
-        weight = instance.labels[lid].weight
-        first = len(vertices)
+        first = len(spans)
         for presence in instance.presences_of(lid):
             if presence.length > 0:
-                vertices.append(_IgVertex(lid, presence, presence.length * weight))
-        if len(vertices) > first:
-            numbers_of[lid] = range(first, len(vertices))
+                label_of.append(lid)
+                spans.append((presence.start, presence.end))
+        if len(spans) > first:
+            numbers_of[lid] = range(first, len(spans))
     partners: Dict[str, list] = {}
     for lid in numbers_of:
         by_partner: Dict[str, list] = {}
@@ -1207,12 +1186,14 @@ def _intgraph_start(instance: Instance) -> tuple:
             if other_id in numbers_of:
                 by_partner.setdefault(other_id, []).append((c.start, c.end))
         partners[lid] = list(by_partner.items())
-    keys = sorted((v.interval.end, v.interval.start, n) for n, v in enumerate(vertices))
+    keys = sorted((b, a, n) for n, (a, b) in enumerate(spans))
+    weights = [(b - a) * instance.labels[label_of[n]].weight for b, a, n in keys]
     cached = instance.__dict__["_intgraph_start"] = (
-        tuple(vertices),
+        tuple(label_of),
+        tuple(spans),
         numbers_of,
         partners,
-        (keys, [key[0] for key in keys], [key[1] for key in keys], [vertices[key[2]].weight for key in keys]),
+        (keys, [key[0] for key in keys], [key[1] for key in keys], weights),
     )
     return cached
 
@@ -1231,68 +1212,68 @@ def solve_intgraph(
     overlap a chosen one in time without a conflict stay.
 
     The remaining vertices stay in columns ordered by their (end, start,
-    creation number) keys between rounds.  A round removes its picks, and
-    shortens only the vertices whose open interior meets a block, a pick's
-    overlap with a conflict of its label: ``_shorten`` returns every other
-    vertex as it is.  A shortened vertex goes back in its place by bisecting
-    the key column.
+    number) keys.  A round removes its picks, builds their blocks (a pick's
+    overlaps with the conflicts of its label) once, and cuts only the
+    vertices whose open interior meets one, putting each back by bisection.
     """
     started = time.perf_counter()
-    first, numbers_of, partners, columns = _intgraph_start(instance)
-    vertices: List[Optional[_IgVertex]] = list(first)  # None once picked or dropped
+    label_of, first, numbers_of, partners, columns = _intgraph_start(instance)
+    spans: List[Optional[Tuple[float, float]]] = list(first)  # None once picked or dropped
     keys, ends, starts, weights = map(list, columns)
-
-    def position(n: int) -> int:
-        """Where remaining vertex n is, or belongs, in the columns."""
-        iv = vertices[n].interval
-        return bisect.bisect_left(keys, (iv.end, iv.start, n))
-
-    phi_raw: Dict[str, list] = {}  # label -> its chosen activities so far
+    chosen: Dict[str, list] = {}  # label -> its chosen (start, end) activities so far
     rounds = 0
     while keys:
         if problem.kind == "KRMT" and rounds >= problem.k:
             break
         rounds += 1
         picked = _mwis_sorted(ends, starts, weights)
-        iteration_chosen: Dict[str, List[TimeInterval]] = {}
+        round_chosen: Dict[str, list] = {}
         for j in picked:
-            n = keys[j][2]
-            v, vertices[n] = vertices[n], None
-            phi_raw.setdefault(v.label_id, []).append(v.interval)
-            iteration_chosen.setdefault(v.label_id, []).append(v.interval)
-        blocked = set()
-        for lid, chosen in iteration_chosen.items():
+            t, s, n = keys[j]
+            spans[n] = None
+            chosen.setdefault(label_of[n], []).append((s, t))
+            round_chosen.setdefault(label_of[n], []).append((s, t))
+        blocks_of: Dict[int, list] = {}  # blocked vertex -> the blocks meeting its interior
+        for lid, picks in round_chosen.items():
             for other_id, conflicts in partners[lid]:
                 blocks = None  # built at the partner's first remaining vertex
                 for n in numbers_of[other_id]:
-                    v = vertices[n]
-                    if v is None:
+                    if spans[n] is None:
                         continue
                     if blocks is None:
                         blocks = [
-                            (max(iv.start, cs), min(iv.end, ce))
+                            (max(s, cs), min(t, ce))
                             for cs, ce in conflicts
-                            for iv in chosen
-                            if cs < iv.end and ce > iv.start
+                            for s, t in picks
+                            if cs < t and ce > s
                         ]
                         if not blocks:
                             break
-                    a, b = v.interval.start, v.interval.end
+                    a, b = spans[n]
                     for lo, hi in blocks:
                         if hi > a and lo < b:
-                            blocked.add(n)
-                            break
-        blocked = sorted(blocked)
-        for j in sorted(picked + [position(n) for n in blocked], reverse=True):
+                            blocks_of.setdefault(n, []).append((lo, hi))
+        at = [bisect.bisect_left(keys, (spans[n][1], spans[n][0], n)) for n in blocks_of]
+        for j in sorted(picked + at, reverse=True):
             del keys[j], ends[j], starts[j], weights[j]
-        for n in blocked:
-            v = vertices[n] = _shorten(instance, vertices[n], iteration_chosen, phi_raw, mode)
-            if v is not None:
-                j = position(n)
-                keys.insert(j, (v.interval.end, v.interval.start, n))
-                ends.insert(j, v.interval.end)
-                starts.insert(j, v.interval.start)
-                weights.insert(j, v.weight)
+        for n, blocks in blocks_of.items():
+            lid = label_of[n]
+            cut_starts, cut_ends = [], []  # conflict ends and starts a chosen partner covers
+            for other_id, conflicts in partners[lid] if mode is not AmMode.AM1 else ():
+                for s, t in chosen.get(other_id, ()):
+                    for cs, ce in conflicts:
+                        if s <= cs <= t:
+                            cut_ends.append(cs)
+                        if s <= ce <= t and mode is AmMode.AM3:
+                            cut_starts.append(ce)
+            cut = spans[n] = _shorten(*spans[n], blocks, cut_starts, cut_ends, mode)
+            if cut is not None:
+                s, t = cut
+                j = bisect.bisect_left(keys, (t, s, n))
+                keys.insert(j, (t, s, n))
+                ends.insert(j, t)
+                starts.insert(j, s)
+                weights.insert(j, (t - s) * instance.labels[lid].weight)
 
-    phi = make_activity_set({lid: phi_raw[lid] for lid in sorted(phi_raw)})
+    phi = make_activity_set({lid: [TimeInterval(*iv) for iv in chosen[lid]] for lid in sorted(chosen)})
     return _result(instance, phi, Status.FEASIBLE, started)

@@ -34,6 +34,29 @@ def build_i1() -> Instance:
     )
 
 
+def heavy_instance_doc(weight: float) -> dict:
+    """Label a at ``weight`` and b at 1, both present on [0, 10], in conflict
+    on [4, 6]: a's weighted presence time overflows above about 1.8e307."""
+    return {
+        "horizon": 10,
+        "labels": [{"id": "a", "weight": weight}, {"id": "b", "weight": 1}],
+        "presences": [
+            {"label": "a", "start": 0, "end": 10},
+            {"label": "b", "start": 0, "end": 10},
+        ],
+        "conflicts": [{"a": "a", "b": "b", "start": 4, "end": 6}],
+    }
+
+
+def heavy_scenario_doc(weight: float) -> dict:
+    """One POI at ``weight`` beside a 100 s drive; in view for 62 s."""
+    return {
+        "route": [[0, 0], [0, 1000]],
+        "speed_mps": [10.0],
+        "pois": [{"x": 0, "y": 500, "w_px": 40, "h_px": 20, "weight": weight}],
+    }
+
+
 @pytest.fixture
 def i1() -> Instance:
     return build_i1()

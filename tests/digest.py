@@ -1,9 +1,14 @@
-"""Print one digest of the package's outputs on scenarios 0..N-1.
+"""Print one digest of the package's outputs on scenarios 0..N-1 and on the
+benchmark's own inputs.
 
 Usage: ``python tests/digest.py N`` (from any directory; it imports the
-package from this checkout's ``src``).  Run it on two trees: equal digests
-mean equal outputs.  Each scenario is taken raw and after
-``apply_min_activity(..., 1.0)``; for each, the items are
+package from this checkout's ``src`` and the corpus builder from its
+``perfbench``).  Run it on two trees: equal digests mean equal outputs.  To
+compare a change with its parent, copy the change's ``tests/digest.py`` into
+a checkout of the parent and run both copies.  Each scenario is taken raw
+and after ``apply_min_activity(..., 1.0)``, and each instance of
+perfbench's nav-heuristic corpora of seeds 0 and 91 as the benchmark loads
+it; for each instance, the items are
 
 * the ``dump_instance`` bytes;
 * greedy and IntGraph solution bytes and objectives, GMT and KRMT k=1-3 at
@@ -28,7 +33,8 @@ import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from chronolabel import solvers  # noqa: E402
 from chronolabel.cli import apply_min_activity  # noqa: E402
@@ -36,7 +42,9 @@ from chronolabel.conflict_graph import build_graph  # noqa: E402
 from chronolabel.model import dump_instance, dump_solution  # noqa: E402
 from chronolabel.scenario import extract_instance, synthesize_scenario  # noqa: E402
 from chronolabel.validation import AmMode, check_model, is_justified  # noqa: E402
+import workloads  # noqa: E402
 
+CORPUS_SEEDS = (0, 91)
 PROBLEMS = (solvers.GMT, solvers.krmt(1), solvers.krmt(2), solvers.krmt(3))
 TICK = 1e-4  # seconds per clock read: 1000 PLS budget reads, 11000 exact deadline reads
 
@@ -114,17 +122,27 @@ def items(instance, salt: int):
         solvers.time = clock
 
 
+def inputs(count: int):
+    """(instance, salt) pairs: scenarios 0..count-1 raw and after the 1 s
+    minimum activity, then the benchmark's corpora of seeds 0 and 91."""
+    for seed in range(count):
+        raw = extract_instance(synthesize_scenario(seed))
+        for salt, instance in enumerate((raw, apply_min_activity(raw, 1.0))):
+            yield instance, 4 * seed + 2 * salt
+    for corpus_seed in CORPUS_SEEDS:
+        for seed, instance in workloads.nav_corpus(corpus_seed, workloads.HEURISTIC_PREFIX):
+            yield instance, 4 * seed + 3
+
+
 def main(argv) -> None:
     count = int(argv[0]) if argv else 60
     digest = hashlib.sha256()
     n = 0
-    for seed in range(count):
-        raw = extract_instance(synthesize_scenario(seed))
-        for salt, instance in enumerate((raw, apply_min_activity(raw, 1.0))):
-            for item in items(instance, 4 * seed + 2 * salt):
-                digest.update(item.encode())
-                digest.update(b"\0")
-                n += 1
+    for instance, salt in inputs(count):
+        for item in items(instance, salt):
+            digest.update(item.encode())
+            digest.update(b"\0")
+            n += 1
     print(n, digest.hexdigest())
 
 

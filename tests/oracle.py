@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +32,7 @@ from chronolabel.scenario import (
     overlap,
     smooth_route,
 )
-from chronolabel.solvers import _IgVertex, _PlsState, mwis_intervals
+from chronolabel.solvers import _PlsState, mwis_intervals
 from chronolabel.validation import AmMode, ValidationReport, Violation, check_model
 
 
@@ -476,9 +477,18 @@ def slice_bound_reference(instance: Instance, k: int) -> float:
     return total
 
 
+@dataclass
+class IgVertex:
+    """An IntGraph vertex: a label's remaining interval and its weight."""
+
+    label_id: str
+    interval: TimeInterval
+    weight: float  # interval length times the label weight
+
+
 def _conflict_blocks(
     instance: Instance,
-    vertex: _IgVertex,
+    vertex: IgVertex,
     chosen_by_label: Dict[str, List[TimeInterval]],
 ) -> List[Tuple[float, float]]:
     """Time windows the vertex interval's interior must avoid.
@@ -514,11 +524,11 @@ def _justified_cut_points(
 
 def shorten_reference(
     instance: Instance,
-    vertex: _IgVertex,
+    vertex: IgVertex,
     iteration_chosen: Dict[str, List[TimeInterval]],
     all_chosen: Dict[str, List[TimeInterval]],
     mode: AmMode,
-) -> Optional[_IgVertex]:
+) -> Optional[IgVertex]:
     """IntGraph's shortening, piece by piece: blocks merged into the maximal
     block-free pieces of the vertex, each piece snapped to justified
     endpoints, the longest snapped piece kept.
@@ -580,7 +590,7 @@ def shorten_reference(
         return None
     s, t = max(adjusted, key=lambda p: (p[1] - p[0], -p[0]))
     weight = (t - s) * instance.labels[vertex.label_id].weight
-    return _IgVertex(vertex.label_id, TimeInterval(s, t), weight)
+    return IgVertex(vertex.label_id, TimeInterval(s, t), weight)
 
 
 def pls_select_reference(
@@ -610,7 +620,7 @@ def intgraph_reference(instance: Instance, problem, mode: AmMode):
     ``shorten_reference`` in every round, whatever labels the round picked.
     Labels are in id order, so ``objective`` sums them in that order."""
     vertices = [
-        _IgVertex(lid, presence, presence.length * instance.labels[lid].weight)
+        IgVertex(lid, presence, presence.length * instance.labels[lid].weight)
         for lid in sorted(instance.presences)
         for presence in instance.presences_of(lid)
         if presence.length > 0

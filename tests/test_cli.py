@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from chronolabel.solvers import SolveResult, Status
 from chronolabel.validation import AmMode
 from chronolabel.model import make_activity_set, TimeInterval
 
-from conftest import build_i1, random_instance
+from conftest import build_i1, heavy_instance_doc, heavy_scenario_doc, random_instance
 
 # complexity of the generated instance, without --min-activity and with its
 # default of 1.0 s, pinned from one run each: the bundled demo, the reference
@@ -453,3 +456,47 @@ class TestUnreadableInput:
     def test_bench_not_utf8_exit_2(self, not_utf8, tmp_path):
         instances = Path(not_utf8).parent
         assert main(["bench", str(instances), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def run_cli(argv, timeout: float = 5.0) -> int:
+    """The exit status of ``main(argv)`` in a child process, which is killed,
+    failing the test, if it runs past ``timeout`` seconds."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    command = [sys.executable, "-m", "chronolabel.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, timeout=timeout).returncode
+
+
+class TestOverflowingWeight:
+    """A weight whose weighted presence time overflows is rejected on load:
+    solved, it would hang greedy, PLS and exact in saturation and give
+    IntGraph an infinite objective."""
+
+    @pytest.fixture
+    def heavy(self, tmp_path) -> str:
+        path = tmp_path / "instances" / "heavy.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(heavy_instance_doc(1e308)))
+        return str(path)
+
+    @pytest.mark.parametrize("algo", ["greedy", "pls", "exact", "intgraph"])
+    def test_solve_exit_2(self, heavy, algo):
+        assert run_cli(["solve", heavy, "--algo", algo, "--time-limit", "1"]) == 2
+
+    def test_other_commands_exit_2(self, heavy, i1_file, tmp_path):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(heavy_scenario_doc(1e308)))
+        for argv in (
+            ["validate", heavy, i1_file],
+            ["graph-dump", heavy],
+            ["bench", str(Path(heavy).parent), "--out-dir", str(tmp_path / "o")],
+            ["generate", str(scenario), "--out", str(tmp_path / "out.json")],
+        ):
+            assert run_cli(argv) == 2, argv
+
+    @pytest.mark.parametrize("algo", ["greedy", "pls", "exact", "intgraph"])
+    def test_largest_finite_total_solves(self, tmp_path, algo):
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(heavy_instance_doc(1e307)))
+        out = str(tmp_path / "sol.json")
+        assert run_cli(["solve", str(path), "--algo", algo, "--out", out]) == 0
+        assert read_meta(out)["objective"] == 1e308

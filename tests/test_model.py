@@ -22,9 +22,9 @@ from chronolabel.model import (
     objective,
 )
 
-from chronolabel.scenario import extract_instance, synthesize_scenario
+from chronolabel.scenario import extract_instance, load_scenario, synthesize_scenario
 
-from conftest import navigation_corpus, random_instance
+from conftest import heavy_instance_doc, heavy_scenario_doc, navigation_corpus, random_instance
 
 I1_JSON = json.dumps(
     {
@@ -146,6 +146,19 @@ def test_nonpositive_weight_rejected():
     doc["labels"][0]["weight"] = 0
     with pytest.raises(IntegrityError):
         load_instance(json.dumps(doc))
+
+
+def test_overflowing_weighted_presence_time_rejected():
+    # weight times presence time bounds every candidate weight and objective;
+    # an infinite one would make saturation swap a candidate with itself forever
+    with pytest.raises(IntegrityError):
+        load_instance(json.dumps(heavy_instance_doc(1e308)))
+    with pytest.raises(IntegrityError):
+        extract_instance(load_scenario(json.dumps(heavy_scenario_doc(1e308))))
+    with pytest.raises(IntegrityError):
+        Label("a", float("inf"))
+    instance = load_instance(json.dumps(heavy_instance_doc(1e307)))  # a's total is 1e308
+    assert instance.labels["a"].weight == 1e307
 
 
 def test_objective_empty():

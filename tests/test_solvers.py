@@ -36,7 +36,6 @@ from chronolabel.solvers import (
     _Deadline,
     _GroupSolver,
     _GroupTimeout,
-    _IgVertex,
     _PlsState,
     _greedy_selection,
     _k_sweep,
@@ -59,6 +58,9 @@ from chronolabel.validation import AmMode, check_model
 
 from conftest import count_group_nodes, instance_graphs, navigation_corpus, random_instance
 from oracle import (
+    IgVertex,
+    _conflict_blocks,
+    _justified_cut_points,
     brute_force_mwis,
     enumerate_optima,
     enumeration_search_space,
@@ -695,7 +697,7 @@ def shortening_cases(draw):
             if draw(st.booleans()):
                 round_chosen.setdefault(other, []).append(iv)
     iv = draw(positive)
-    return instance, _IgVertex("v", iv, iv.length * weights["v"]), round_chosen, all_chosen
+    return instance, IgVertex("v", iv, iv.length * weights["v"]), round_chosen, all_chosen
 
 
 class TestIntGraph:
@@ -789,9 +791,18 @@ class TestIntGraph:
     @given(case=shortening_cases())
     def test_shorten_matches_piecewise_reference(self, case):
         instance, vertex, round_chosen, all_chosen = case
+        a, b = vertex.interval.start, vertex.interval.end
+        blocks = [
+            (lo, hi) for lo, hi in _conflict_blocks(instance, vertex, round_chosen) if hi > a and lo < b
+        ]
+        starts, ends = _justified_cut_points(instance, vertex.label_id, all_chosen)
         for mode in AmMode:
-            got = _shorten(instance, vertex, round_chosen, all_chosen, mode)
-            assert got == shorten_reference(instance, vertex, round_chosen, all_chosen, mode)
+            want = shorten_reference(instance, vertex, round_chosen, all_chosen, mode)
+            if not blocks:  # an unblocked vertex stays, and the cut never sees it
+                assert want == vertex
+                continue
+            got = _shorten(a, b, blocks, starts if mode is AmMode.AM3 else [], ends, mode)
+            assert got == (want and (want.interval.start, want.interval.end))
 
     def test_matches_all_vertex_reference(self):
         # scenarios 0-59, raw and after the 1 s minimum activity, make 1080
@@ -813,12 +824,13 @@ class TestIntGraph:
 
     def test_shortens_only_blocked_vertices(self, monkeypatch):
         # A round shortens a vertex only if a block of the round meets its
-        # open interior, so no call hands the vertex back unchanged.
+        # open interior, so every call gets a block and no call hands the
+        # vertex back unchanged.
         calls = []
 
-        def shorten(instance, vertex, iteration_chosen, all_chosen, mode):
-            got = _shorten(instance, vertex, iteration_chosen, all_chosen, mode)
-            calls.append(got is None or got.interval != vertex.interval)
+        def shorten(a, b, blocks, starts, ends, mode):
+            got = _shorten(a, b, blocks, starts, ends, mode)
+            calls.append(bool(blocks) and got != (a, b))
             return got
 
         monkeypatch.setattr(solvers, "_shorten", shorten)
